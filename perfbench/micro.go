@@ -168,15 +168,6 @@ func (ct *codecTimes) measure(tr *tracer, cfg ggpdes.Config, res *ggpdes.Results
 	return nil
 }
 
-// hitMS is the per-sample sum of the three codec steps, in ms.
-func (ct codecTimes) hitMS() []float64 {
-	out := make([]float64, len(ct.decode))
-	for i := range out {
-		out[i] = (ct.decode[i] + ct.key[i] + ct.encode[i]) / 1e3
-	}
-	return out
-}
-
 func (ct codecTimes) record(m map[string]float64) {
 	m["ggpdes.config_decode_us"] = median(ct.decode)
 	m["ggpdes.cachekey_us"] = median(ct.key)

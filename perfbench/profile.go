@@ -2,21 +2,18 @@ package main
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"os/exec"
 	"strings"
+	"time"
 )
 
 // A CPU profile is the only way to split ggpdes.Run into layers from
-// outside the program. This file decodes the pprof protobuf (gzipped
-// profile.proto, as runtime/pprof and net/http/pprof write it) far
-// enough to walk each sample's stack, and charges every sample to
-// exactly one layer.
+// outside the program. This file reads a profile's samples back through
+// the toolchain's pprof and charges every sample to exactly one layer.
 
-// cpuProfile is a decoded CPU profile: one stack (function names, leaf
+// cpuProfile is a CPU profile read back: one stack (function names, leaf
 // first) and its CPU nanoseconds per sample.
 type cpuProfile struct {
 	stacks [][]string
@@ -160,188 +157,57 @@ func (p *cpuProfile) inclusiveNanos(fn string) int64 {
 	return n
 }
 
-// parseCPUProfile decodes a (gzipped) pprof CPU profile.
-func parseCPUProfile(data []byte) (*cpuProfile, error) {
-	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
-		zr, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("profile: %w", err)
-		}
-		if data, err = io.ReadAll(zr); err != nil {
-			return nil, fmt.Errorf("profile: %w", err)
-		}
+// readProfiles merges the CPU profiles at paths into one, through the
+// toolchain's pprof: `go tool pprof -traces` prints every sample's
+// stack with its CPU time, and parseTraces reads that text back.
+func readProfiles(paths ...string) (*cpuProfile, error) {
+	cmd := exec.Command("go", append([]string{"tool", "pprof", "-traces"}, paths...)...)
+	var out, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("go tool pprof: %w: %s", err, strings.TrimSpace(stderr.String()))
 	}
-	type sample struct {
-		locs   []uint64
-		values []int64
-	}
-	var (
-		samples    []sample
-		locLines   = map[uint64][]uint64{} // location id -> function ids, leaf first
-		funcName   = map[uint64]int64{}    // function id -> string index
-		strs       []string
-		valueTypes []int64 // string index of each sample value's type
-	)
-	err := eachField(data, func(num int, wire int, v uint64, b []byte) error {
-		switch num {
-		case 1: // sample_type
-			return eachField(b, func(n, _ int, v uint64, _ []byte) error {
-				if n == 1 {
-					valueTypes = append(valueTypes, int64(v))
-				}
-				return nil
-			})
-		case 2: // sample
-			var s sample
-			err := eachField(b, func(n, w int, v uint64, bb []byte) error {
-				switch n {
-				case 1:
-					return appendUints(&s.locs, w, v, bb)
-				case 2:
-					var u []uint64
-					if err := appendUints(&u, w, v, bb); err != nil {
-						return err
-					}
-					for _, x := range u {
-						s.values = append(s.values, int64(x))
-					}
-				}
-				return nil
-			})
-			samples = append(samples, s)
-			return err
-		case 4: // location
-			var id uint64
-			var fns []uint64
-			err := eachField(b, func(n, _ int, v uint64, bb []byte) error {
-				switch n {
-				case 1:
-					id = v
-				case 4: // line
-					return eachField(bb, func(n, _ int, v uint64, _ []byte) error {
-						if n == 1 {
-							fns = append(fns, v)
-						}
-						return nil
-					})
-				}
-				return nil
-			})
-			locLines[id] = fns
-			return err
-		case 5: // function
-			var id uint64
-			var name int64
-			err := eachField(b, func(n, _ int, v uint64, _ []byte) error {
-				switch n {
-				case 1:
-					id = v
-				case 2:
-					name = int64(v)
-				}
-				return nil
-			})
-			funcName[id] = name
-			return err
-		case 6: // string_table
-			strs = append(strs, string(b))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
-	}
-	col := -1
-	for i, t := range valueTypes {
-		if t >= 0 && int(t) < len(strs) && strs[t] == "cpu" {
-			col = i
-		}
-	}
-	if col < 0 {
-		return nil, errors.New("profile: no cpu sample type")
-	}
-	name := func(fid uint64) string {
-		if si, ok := funcName[fid]; ok && si >= 0 && int(si) < len(strs) {
-			return strs[si]
-		}
-		return "?"
-	}
+	return parseTraces(out.String())
+}
+
+// parseTraces reads the text of `go tool pprof -traces`: a header, then
+// one block per sample, each after a line of dashes. A block's first
+// line is the sample's value and its leaf function, every further line
+// a caller.
+func parseTraces(text string) (*cpuProfile, error) {
 	p := &cpuProfile{}
-	for _, s := range samples {
-		if col >= len(s.values) {
-			return nil, errors.New("profile: short sample")
+	var stack []string
+	inBlock := false
+	flush := func() {
+		if len(stack) > 0 {
+			p.stacks = append(p.stacks, stack)
 		}
-		var st []string
-		for _, loc := range s.locs {
-			for _, fid := range locLines[loc] {
-				st = append(st, name(fid))
+		stack = nil
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "-----------+") {
+			flush()
+			inBlock = true
+			continue
+		}
+		fn := strings.TrimSpace(line)
+		if !inBlock || fn == "" {
+			continue
+		}
+		if stack == nil {
+			value, rest, _ := strings.Cut(fn, " ")
+			d, err := time.ParseDuration(value)
+			if err != nil {
+				return nil, fmt.Errorf("pprof traces: sample value %q: %w", value, err)
 			}
+			p.nanos = append(p.nanos, int64(d))
+			fn = strings.TrimSpace(rest)
 		}
-		p.stacks = append(p.stacks, st)
-		p.nanos = append(p.nanos, s.values[col])
+		stack = append(stack, strings.TrimSuffix(fn, " (inline)"))
+	}
+	flush()
+	if len(p.stacks) != len(p.nanos) {
+		return nil, errors.New("pprof traces: a sample without a stack")
 	}
 	return p, nil
-}
-
-// appendUints appends a repeated integer field, packed or not.
-func appendUints(dst *[]uint64, wire int, v uint64, b []byte) error {
-	if wire == 0 {
-		*dst = append(*dst, v)
-		return nil
-	}
-	for len(b) > 0 {
-		x, n := binary.Uvarint(b)
-		if n <= 0 {
-			return errors.New("bad packed varint")
-		}
-		*dst = append(*dst, x)
-		b = b[n:]
-	}
-	return nil
-}
-
-// eachField walks one protobuf message, calling fn with each field's
-// number, wire type, and its varint value or length-delimited bytes.
-func eachField(b []byte, fn func(num, wire int, v uint64, data []byte) error) error {
-	for len(b) > 0 {
-		key, n := binary.Uvarint(b)
-		if n <= 0 {
-			return errors.New("bad field key")
-		}
-		b = b[n:]
-		num, wire := int(key>>3), int(key&7)
-		var v uint64
-		var data []byte
-		switch wire {
-		case 0:
-			v, n = binary.Uvarint(b)
-			if n <= 0 {
-				return errors.New("bad varint")
-			}
-			b = b[n:]
-		case 1:
-			if len(b) < 8 {
-				return errors.New("short fixed64")
-			}
-			b = b[8:]
-		case 2:
-			l, n := binary.Uvarint(b)
-			if n <= 0 || uint64(len(b)-n) < l {
-				return errors.New("bad length")
-			}
-			data = b[n : n+int(l)]
-			b = b[n+int(l):]
-		case 5:
-			if len(b) < 4 {
-				return errors.New("short fixed32")
-			}
-			b = b[4:]
-		default:
-			return fmt.Errorf("unsupported wire type %d", wire)
-		}
-		if err := fn(num, wire, v, data); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 )
@@ -33,8 +37,43 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-// TestParseCPUProfile decodes a profile written by runtime/pprof.
-func TestParseCPUProfile(t *testing.T) {
+func TestParseTraces(t *testing.T) {
+	const text = `File: perfbench
+Type: cpu
+Duration: 1s, Total samples = 70ms (7.00%)
+-----------+-------------------------------------------------------
+      50ms   ggpdes/internal/tw.(*Event).before (inline)
+             ggpdes/internal/tw.(*Peer).Drain
+-----------+-------------------------------------------------------
+      1.02s  runtime.scanobject
+             runtime.gcDrain
+-----------+-------------------------------------------------------
+`
+	p, err := parseTraces(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"ggpdes/internal/tw.(*Event).before", "ggpdes/internal/tw.(*Peer).Drain"}
+	if len(p.stacks) != 2 || strings.Join(p.stacks[0], ",") != strings.Join(want, ",") {
+		t.Fatalf("stacks %q, want the first to be %q", p.stacks, want)
+	}
+	if p.nanos[0] != int64(50*time.Millisecond) || p.nanos[1] != int64(1020*time.Millisecond) {
+		t.Fatalf("nanos %v", p.nanos)
+	}
+	if got := p.layerNanos(); got["tw"] != p.nanos[0] || got[layerGC] != p.nanos[1] {
+		t.Fatalf("layers %v", got)
+	}
+	if _, err := parseTraces("-----------+---\n  fast  main.f\n"); err == nil {
+		t.Fatal("a sample value that is not a duration parsed without error")
+	}
+}
+
+// TestReadProfiles reads a profile written by runtime/pprof back
+// through the toolchain's pprof.
+func TestReadProfiles(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go command:", err)
+	}
 	var buf bytes.Buffer
 	if err := pprof.StartCPUProfile(&buf); err != nil {
 		t.Skip("CPU profiling unavailable:", err)
@@ -47,7 +86,11 @@ func TestParseCPUProfile(t *testing.T) {
 	}
 	pprof.StopCPUProfile()
 	sink = x
-	p, err := parseCPUProfile(buf.Bytes())
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := readProfiles(path, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +98,8 @@ func TestParseCPUProfile(t *testing.T) {
 	for _, n := range p.layerNanos() {
 		total += n
 	}
-	if len(p.stacks) == 0 || total < int64(50*time.Millisecond) {
-		t.Fatalf("decoded %d stacks, %v CPU; want a busy 300ms", len(p.stacks), time.Duration(total))
-	}
-	if _, err := parseCPUProfile([]byte{0x0a, 0xff}); err == nil {
-		t.Fatal("truncated profile decoded without error")
+	if len(p.stacks) == 0 || total < int64(100*time.Millisecond) {
+		t.Fatalf("read %d stacks, %v CPU from two merged copies of a busy 300ms profile", len(p.stacks), time.Duration(total))
 	}
 }
 

@@ -359,26 +359,9 @@ func runServed(o opts) (*report, error) {
 		return nil, err
 	}
 	r := &report{metrics: map[string]float64{}}
-	// Set-up is starting ggserved, waiting until it answers and running
-	// one warm-up round per client (round -1, which no measured round
-	// reuses), so the first measured jobs find a warm heap and warm
-	// connections. It is done three times for a median; the last
-	// server is the one measured.
-	var setups []float64
-	var srv *server
-	for i := 0; i < 3; i++ {
-		t0 := time.Now()
-		s, err := startServer(bin, i, o.trace)
-		if err != nil {
-			return nil, err
-		}
-		s.run(o.seed, -1, nil, func(p progress) bool { return p.rounds == 1 })
-		setups = append(setups, time.Since(t0).Seconds())
-		if i < 2 {
-			s.stop()
-		} else {
-			srv = s
-		}
+	setup, srv, err := setUpServer(bin, 0, o.trace)
+	if err != nil {
+		return nil, err
 	}
 	defer srv.stop()
 	before, err := srv.counters()
@@ -388,9 +371,24 @@ func runServed(o opts) (*report, error) {
 	if o.trace {
 		err = tracedServed(o, r, srv, before)
 	} else {
-		err = untracedServed(o, r, srv, setups, before)
+		err = untracedServed(o, r, bin, srv, setup, before)
 	}
 	return r, err
+}
+
+// setUpServer is one set-up, timed: start ggserved, wait until it
+// answers, and run one warm-up round per client, so that the first
+// measured jobs find a warm heap and warm connections. The warm-up jobs
+// are the same in every run (run seed 0, round -1, which no measured
+// round reuses), so set-up does not depend on --seed.
+func setUpServer(bin string, n int, withPprof bool) (float64, *server, error) {
+	t0 := time.Now()
+	s, err := startServer(bin, n, withPprof)
+	if err != nil {
+		return 0, nil, err
+	}
+	s.run(0, -1, nil, func(p progress) bool { return p.rounds == 1 })
+	return time.Since(t0).Seconds(), s, nil
 }
 
 // split classes the loop's jobs and counts them as operations.
@@ -426,13 +424,49 @@ func committedRate(cold []*job, elapsed time.Duration) float64 {
 	return float64(n) / elapsed.Seconds()
 }
 
-func untracedServed(o opts, r *report, srv *server, setups []float64, before map[string]uint64) error {
+// untracedServed measures the end-to-end metrics. The closed loop runs
+// in setupReps segments of about seconds/setupReps each; between two
+// segments the clients pause while one more set-up of a fresh ggserved
+// is timed and that server stopped. The set-ups' median so rests on the
+// same stretch of host time as the loop's medians; setup is the
+// measured server's own.
+func untracedServed(o opts, r *report, bin string, srv *server, setup float64, before map[string]uint64) error {
 	minCold, minHits := int64(samplesForTail(servedColdQ)), int64(samplesForTail(servedHitQ))
-	// Past the time limit, rounds continue only until both tails have
-	// their samples, and not at all once a submission has failed.
-	l := srv.run(o.seed, 0, nil, func(p progress) bool {
-		return p.elapsed.Seconds() >= o.seconds && (p.cold >= minCold && p.hits >= minHits || p.failed > 0)
-	})
+	setups := []float64{setup}
+	l := &servedLoop{}
+	var nCold, nHits, nFailed int64
+	for seg := 0; seg < setupReps; seg++ {
+		if seg > 0 {
+			x, s, err := setUpServer(bin, seg, false)
+			if err != nil {
+				return err
+			}
+			s.stop()
+			setups = append(setups, x)
+		}
+		// Every segment numbers its rounds from its own base, so every
+		// cold job stays unique. Past the time limit the last segment
+		// continues only until both tails have their samples, and not
+		// at all once a submission has failed.
+		last := seg == setupReps-1
+		sl := srv.run(o.seed, seg<<20, nil, func(p progress) bool {
+			if p.elapsed.Seconds() < o.seconds/setupReps {
+				return false
+			}
+			return !last || nCold+p.cold >= minCold && nHits+p.hits >= minHits || nFailed+p.failed > 0
+		})
+		l.jobs, l.elapsed = append(l.jobs, sl.jobs...), l.elapsed+sl.elapsed
+		for _, j := range sl.jobs {
+			switch {
+			case j.err != nil:
+				nFailed++
+			case j.cached:
+				nHits++
+			default:
+				nCold++
+			}
+		}
+	}
 	rss, err := peakRSSMB(srv.cmd.Process.Pid)
 	if err != nil {
 		return err
@@ -444,13 +478,16 @@ func untracedServed(o opts, r *report, srv *server, setups []float64, before map
 	m["jobs_per_s"] = float64(len(cold)+len(hits)) / l.elapsed.Seconds()
 	m["cold_ms_p50"] = median(coldMS)
 	m["hit_ms_p50"] = median(hitMS)
-	m["resume_ms_p50"] = median(coldMS)
+	// No job here crashes, so ggserved never resumes one from a
+	// snapshot: a stand-in, like resume_ms_p50 on oversub and dense.
+	m["resume_ms_p50"] = m["cold_ms_p50"]
 	m["peak_rss_mb"] = rss
 	m["setup_s"] = median(setups)
 	printSamples("cold_ms", coldMS, servedColdQ)
 	printTail("cold_ms", coldMS, servedColdQ)
 	printSamples("hit_ms", hitMS, servedHitQ)
 	printTail("hit_ms", hitMS, servedHitQ)
+	fmt.Println("resume_ms_p50 is a stand-in: no job crashes, so none resumes from a snapshot")
 	printSamples("setup_s (ggserved start)", setups, 0)
 	printServedSimStats(l.jobs)
 	return verifyServed(&r.tally, srv, before, cold, hits)
@@ -565,61 +602,95 @@ func verifyServed(t *tally, srv *server, before map[string]uint64, cold, hits []
 	return nil
 }
 
+// tracedPairs is how many untraced and traced phases a traced served
+// run alternates.
+const tracedPairs = 3
+
+// tracedServed alternates untraced phases with traced ones, each about
+// seconds/6 long. A traced phase records spans around every client call
+// while ggserved profiles itself, and reads the server's cumulative
+// allocation just before the profile starts and just after it ends.
+// Alternating phases keeps the host's drift out of the tracing overhead.
 func tracedServed(o opts, r *report, srv *server, before map[string]uint64) error {
-	half := o.seconds / 2
-	base := srv.run(o.seed, 0, nil, func(p progress) bool { return p.elapsed.Seconds() >= half })
-	profSeconds := int(half)
-	if profSeconds < 1 {
-		profSeconds = 1
+	phase := int(o.seconds / (2 * tracedPairs))
+	if phase < 1 {
+		phase = 1
 	}
-	alloc0, err := srv.totalAlloc()
-	if err != nil {
-		return err
-	}
-	var (
-		profData  []byte
-		profErr   error
-		profDone  atomic.Bool
-		profStart = time.Now()
-		profEnd   time.Time
-		done      = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		profData, profErr = get(fmt.Sprintf("http://%s/debug/pprof/profile?seconds=%d", srv.pprof, profSeconds),
-			time.Duration(profSeconds+30)*time.Second)
-		profEnd = time.Now()
-		profDone.Store(true)
-	}()
 	tr := newTracer()
-	// Traced rounds continue the base phase's round numbers, so every
-	// cold job stays unique.
-	l := srv.run(o.seed, 1<<20, tr, func(p progress) bool { return profDone.Load() && p.elapsed.Seconds() >= half })
-	<-done
-	if profErr != nil {
-		return fmt.Errorf("ggserved profile: %w", profErr)
+	var (
+		base, traced         []*job
+		baseTime, tracedTime time.Duration
+		profiles             []string
+		windows              [][2]time.Time
+		alloc                uint64
+	)
+	for i := 0; i < 2*tracedPairs; i++ {
+		// Every phase numbers its rounds from its own base, so every
+		// cold job stays unique.
+		first := i << 20
+		if i%2 == 0 {
+			l := srv.run(o.seed, first, nil, func(p progress) bool { return p.elapsed >= time.Duration(phase)*time.Second })
+			base, baseTime = append(base, l.jobs...), baseTime+l.elapsed
+			continue
+		}
+		alloc0, err := srv.totalAlloc()
+		if err != nil {
+			return err
+		}
+		var (
+			start            = time.Now()
+			end              time.Time
+			profData         []byte
+			alloc1           uint64
+			profErr, alloErr error
+			profDone         atomic.Bool
+			done             = make(chan struct{})
+		)
+		go func() {
+			defer close(done)
+			profData, profErr = get(fmt.Sprintf("http://%s/debug/pprof/profile?seconds=%d", srv.pprof, phase),
+				time.Duration(phase+30)*time.Second)
+			alloc1, alloErr = srv.totalAlloc()
+			end = time.Now()
+			profDone.Store(true)
+		}()
+		l := srv.run(o.seed, first, tr, func(progress) bool { return profDone.Load() })
+		<-done
+		if err := firstErr(profErr, alloErr); err != nil {
+			return fmt.Errorf("ggserved profile: %w", err)
+		}
+		traced, tracedTime = append(traced, l.jobs...), tracedTime+l.elapsed
+		alloc += alloc1 - alloc0
+		windows = append(windows, [2]time.Time{start, end})
+		path, err := writeProfile(profData, fmt.Sprintf("served-seed%d-phase%d.pprof", o.seed, i))
+		if err != nil {
+			return err
+		}
+		profiles = append(profiles, path)
 	}
-	alloc1, err := srv.totalAlloc()
+	p, err := readProfiles(profiles...)
 	if err != nil {
 		return err
 	}
-	p, err := saveProfile(profData, fmt.Sprintf("served-seed%d.pprof", o.seed))
-	if err != nil {
-		return err
-	}
-	baseCold, baseHits := split(&r.tally, base.jobs)
-	cold, hits := split(&r.tally, l.jobs)
+	fmt.Printf("profiles: %d traced phases, %s ...\n", len(profiles), profiles[0])
+	baseCold, baseHits := split(&r.tally, base)
+	cold, hits := split(&r.tally, traced)
+	// The profiles and the allocation reads cover the same windows; the
+	// cold jobs that finished inside them are what both are divided by.
 	var inWindow []*job
 	for _, j := range cold {
-		if !j.end.Before(profStart) && !j.end.After(profEnd) {
-			inWindow = append(inWindow, j)
+		for _, w := range windows {
+			if !j.end.Before(w[0]) && !j.end.After(w[1]) {
+				inWindow = append(inWindow, j)
+				break
+			}
 		}
 	}
 	if len(inWindow) == 0 {
-		return errors.New("no cold job finished inside the profile window")
+		return errors.New("no cold job finished inside a profile window")
 	}
-	first := sumResults(resultsOf(firstColdJobs(base.jobs)))
-	n := float64(len(firstColdJobs(base.jobs)))
+	first := sumResults(resultsOf(firstColdJobs(base)))
+	n := float64(len(firstColdJobs(base)))
 	win := sumResults(resultsOf(inWindow))
 	ev := repEvents{processed: float64(first.ProcessedEvents) / n, rolledBack: float64(first.RolledBackEvents) / n}
 	m := r.metrics
@@ -627,14 +698,14 @@ func tracedServed(o opts, r *report, srv *server, before map[string]uint64) erro
 	layers := p.layerNanos()
 	recordLayers(m, layers, per, ev)
 	m["ggpdes.rebuild_ms"] = float64(p.inclusiveNanos("ggpdes.(*runState).buildSegment")) / 1e6 / per
-	m["ggpdes.alloc_b_per_ev"] = ratio(float64(alloc1-alloc0), float64(win.CommittedEvents))
+	m["ggpdes.alloc_b_per_ev"] = ratio(float64(alloc), float64(win.CommittedEvents))
 	recordSimStats(m, first)
-	baseRate, tracedRate := committedRate(baseCold, base.elapsed), committedRate(cold, l.elapsed)
+	baseRate, tracedRate := committedRate(baseCold, baseTime), committedRate(cold, tracedTime)
 	m["trace.overhead_pct"] = 100 * ratio(baseRate-tracedRate, baseRate)
 	printLayers("ggserved profile split", layers, per)
-	fmt.Printf("tracing overhead: committed_ev_per_s untraced %.6g (%d jobs), traced %.6g (%d jobs)\n",
-		baseRate, len(base.jobs), tracedRate, len(l.jobs))
-	printServedSimStats(base.jobs)
+	fmt.Printf("tracing overhead: committed_ev_per_s of untraced phases %.6g (%d jobs), of traced phases %.6g (%d jobs)\n",
+		baseRate, len(base), tracedRate, len(traced))
+	printServedSimStats(base)
 
 	var queue, run, overhead []float64
 	for _, j := range cold {

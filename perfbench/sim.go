@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"ggpdes"
@@ -71,7 +75,7 @@ func (s *simShape) config(k int) ggpdes.Config {
 	return cfg
 }
 
-func runOversub(o opts) (*report, error) {
+func oversubShape(seed uint64) simShape {
 	cfg := pholdOn(ggpdes.PHOLD{LPsPerThread: 4, Imbalance: 16}, 128)
 	// With the figure benchmarks' window of 10, about a third of seeds
 	// fall into rollback thrash (7-10% efficiency instead of 30-40%, 4×
@@ -79,18 +83,10 @@ func runOversub(o opts) (*report, error) {
 	// any bound. A window of 3, the bounded optimism Config recommends
 	// for deep over-subscription, keeps every seed near 72% efficiency.
 	cfg.OptimismWindow = 3
-	return runSim(o, simShape{
-		name: "oversub", cfg: cfg, seeds: modelSeeds(o.seed),
+	return simShape{
+		name: "oversub", cfg: cfg, seeds: modelSeeds(seed),
 		expect: expectPHOLD(128*4, endTime), threads: 128, cores: 8, smt: 2, perPeer: 4, tailQ: 0.75,
-	})
-}
-
-func runDense(o opts) (*report, error) {
-	return runSim(o, denseShape(o.seed, "dense", 0, 0.95))
-}
-
-func runCkpt(o opts) (*report, error) {
-	return runSim(o, denseShape(o.seed, "ckpt", 2, 0.75))
+	}
 }
 
 func denseShape(seed uint64, name string, ckptEvery int, tailQ float64) simShape {
@@ -100,30 +96,46 @@ func denseShape(seed uint64, name string, ckptEvery int, tailQ float64) simShape
 	}
 }
 
-// simLoop is what one measuring loop saw.
+// simShapeOf returns the simulation workload name with run seed seed.
+func simShapeOf(name string, seed uint64) (simShape, bool) {
+	switch name {
+	case "oversub":
+		return oversubShape(seed), true
+	case "dense":
+		return denseShape(seed, "dense", 0, 0.95), true
+	case "ckpt":
+		return denseShape(seed, "ckpt", 2, 0.75), true
+	}
+	return simShape{}, false
+}
+
+func runOversub(o opts) (*report, error) { return runSimNamed(o, "oversub") }
+func runDense(o opts) (*report, error)   { return runSimNamed(o, "dense") }
+func runCkpt(o opts) (*report, error)    { return runSimNamed(o, "ckpt") }
+
+func runSimNamed(o opts, name string) (*report, error) {
+	s, _ := simShapeOf(name, o.seed)
+	return runSim(o, s)
+}
+
+// simLoop is what a set of measured rounds saw.
 type simLoop struct {
-	runMS, resumeMS, rate []float64
-	busy                  time.Duration // time inside Run and Resume
-	reps                  int
+	runMS, repMS, resumeMS, rate []float64
+	reps, failures               int
 	// res and resJSON hold each model seed's first Results.
 	res     []*ggpdes.Results
 	resJSON [][]byte
-	// codec, when non-nil, collects codec samples after every
-	// repetition, so they span the run like the repetitions do.
-	codec *codecTimes
 }
 
-// codecTarget is about how many codec samples an untraced run takes:
-// well above the thousand a p99 tail needs, below the ten thousand at
-// which p99.9 would become the tail.
-const codecTarget = 4000
+func (s *simShape) newLoop() *simLoop {
+	return &simLoop{res: make([]*ggpdes.Results, len(s.seeds)), resJSON: make([][]byte, len(s.seeds))}
+}
 
-// repetition runs the workload once with model seed k (checkpointed run
-// plus Resume for ckpt) and checks what it returned against the seed's
-// first Results, when given. It returns the Results, their JSON, and
-// the run and resume durations.
-func (s *simShape) repetition(t *tally, tr *tracer, run, k int, first []byte) (*ggpdes.Results, []byte, time.Duration, time.Duration, error) {
-	cfg := s.config(k)
+// repetition runs cfg once (checkpointed run plus Resume for ckpt) and
+// checks what it returned against first, the seed's first Results, when
+// given. It returns the Results, their JSON, and the run and resume
+// durations.
+func (s *simShape) repetition(t *tally, tr *tracer, run int, cfg ggpdes.Config, first []byte) (*ggpdes.Results, []byte, time.Duration, time.Duration, error) {
 	if s.ckptEvery > 0 {
 		dir, err := os.MkdirTemp(workDir, "ckpt-")
 		if err != nil {
@@ -185,74 +197,129 @@ func (s *simShape) checkRun(t *tally, res *ggpdes.Results) {
 	t.check("final GVT is the end time", gvt)
 }
 
-// loop repeats rounds of the workload, one repetition per model seed,
-// for at least seconds and minReps; with codec set it also samples the
-// codec path after every repetition.
-func (s *simShape) loop(t *tally, tr *tracer, seconds float64, minReps int, codec bool) (*simLoop, error) {
-	l := &simLoop{res: make([]*ggpdes.Results, len(s.seeds)), resJSON: make([][]byte, len(s.seeds))}
-	codecPerRep := 0
-	if codec {
-		l.codec = &codecTimes{}
-		codecPerRep = (codecTarget + minReps - 1) / minReps
-	}
-	start := time.Now()
-	failures := 0
-	// Past the time limit, rounds continue only until the tail has its
-	// samples, and not at all once a repetition has failed.
-	for round := 0; time.Since(start).Seconds() < seconds || (l.reps < minReps && failures == 0); round++ {
-		for k := range s.seeds {
-			if err := s.loopRep(t, tr, l, round*len(s.seeds)+k, k, codecPerRep, &failures); err != nil {
-				return nil, err
-			}
+// round runs one repetition per model seed and records them in l; spans
+// go to tr when it is non-nil.
+func (s *simShape) round(t *tally, tr *tracer, l *simLoop, round int) error {
+	for k := range s.seeds {
+		res, resJSON, runD, resumeD, err := s.repetition(t, tr, round*len(s.seeds)+k, s.config(k), l.resJSON[k])
+		if err != nil {
+			return err
 		}
-	}
-	for k, res := range l.res {
 		if res == nil {
-			return nil, fmt.Errorf("%s: every repetition of model seed %d failed", s.name, s.seeds[k])
+			l.failures++
+			continue
 		}
-	}
-	return l, nil
-}
-
-// loopRep runs and records one repetition of the loop.
-func (s *simShape) loopRep(t *tally, tr *tracer, l *simLoop, run, k, codecPerRep int, failures *int) error {
-	res, resJSON, runD, resumeD, err := s.repetition(t, tr, run, k, l.resJSON[k])
-	if err != nil {
-		return err
-	}
-	if res == nil {
-		*failures++
-		return nil
-	}
-	if l.res[k] == nil {
-		l.res[k], l.resJSON[k] = res, resJSON
-	}
-	l.reps++
-	l.busy += runD + resumeD
-	l.runMS = append(l.runMS, float64(runD)/1e6)
-	l.rate = append(l.rate, float64(res.CommittedEvents)/runD.Seconds())
-	if s.ckptEvery > 0 {
-		l.resumeMS = append(l.resumeMS, float64(resumeD)/1e6)
-	}
-	if l.codec != nil {
-		return l.codec.measure(nil, s.config(k), res, codecPerRep)
+		if l.res[k] == nil {
+			l.res[k], l.resJSON[k] = res, resJSON
+		}
+		l.reps++
+		l.runMS = append(l.runMS, float64(runD)/1e6)
+		l.repMS = append(l.repMS, float64(runD+resumeD)/1e6)
+		l.rate = append(l.rate, float64(res.CommittedEvents)/runD.Seconds())
+		if s.ckptEvery > 0 {
+			l.resumeMS = append(l.resumeMS, float64(resumeD)/1e6)
+		}
 	}
 	return nil
 }
 
-// setups runs the workload's warm-up repetition three times: the first
-// run in a process also grows the heap and the engine's pools, and
-// measuring starts only once that is done.
-func (s *simShape) setups(t *tally) ([]float64, error) {
-	var xs []float64
-	for i := 0; i < 3; i++ {
-		t0 := time.Now()
-		if _, _, _, _, err := s.repetition(t, nil, -1, i%len(s.seeds), nil); err != nil {
+// loop repeats rounds for at least seconds and minReps repetitions,
+// calling between after every round. Past the time limit, rounds
+// continue only until the tail has its samples, and not at all once a
+// repetition has failed.
+func (s *simShape) loop(t *tally, seconds float64, minReps int, between func(elapsed time.Duration) error) (*simLoop, error) {
+	l := s.newLoop()
+	start := time.Now()
+	for round := 0; time.Since(start).Seconds() < seconds || (l.reps < minReps && l.failures == 0); round++ {
+		if err := s.round(t, nil, l, round); err != nil {
 			return nil, err
 		}
-		xs = append(xs, time.Since(t0).Seconds())
+		if err := between(time.Since(start)); err != nil {
+			return nil, err
+		}
 	}
-	return xs, nil
+	return l, s.complete(l)
+}
+
+// complete fails when every repetition of some model seed failed.
+func (s *simShape) complete(l *simLoop) error {
+	for k, res := range l.res {
+		if res == nil {
+			return fmt.Errorf("%s: every repetition of model seed %d failed", s.name, s.seeds[k])
+		}
+	}
+	return nil
+}
+
+// setupSeeds are the model seeds of set-up repetitions: the same in
+// every run, so that set-up does not depend on --seed.
+var setupSeeds = modelSeeds(0)
+
+// setupConfig is the configuration of the i-th set-up repetition.
+func (s *simShape) setupConfig(i int) ggpdes.Config {
+	cfg := s.cfg
+	cfg.Seed = setupSeeds[i%len(setupSeeds)]
+	return cfg
+}
+
+// warmUps is how many repetitions a run makes before measuring: the
+// first run in a process also grows the heap and the engine's pools.
+const warmUps = 2
+
+func (s *simShape) warmUp(t *tally) error {
+	for i := 0; i < warmUps; i++ {
+		if _, _, _, _, err := s.repetition(t, nil, -1, s.setupConfig(i), nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// setupReps is how many set-ups a run times; setup_s is their median.
+const setupReps = 7
+
+// coldStart times one set-up of a simulation workload: a fresh
+// perfbench process (coldStartMain) that runs one set-up repetition
+// and exits. It holds everything the first run in a process pays:
+// process start, runtime and package initialisation, and a repetition
+// on a cold heap with empty pools. ok is false when it failed.
+func (s *simShape) coldStart(t *tally, i int) (seconds float64, ok bool, err error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return 0, false, err
+	}
+	cmd := exec.Command(exe, "coldstart", "--workload", s.name, "--index", fmt.Sprint(i))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	t0 := time.Now()
+	err = cmd.Run()
+	seconds = time.Since(t0).Seconds()
+	if err != nil {
+		err = fmt.Errorf("%w: %s", err, strings.TrimSpace(stderr.String()))
+	}
+	return seconds, t.op("cold start", err), nil
+}
+
+// coldStartMain is the process coldStart times.
+func coldStartMain(args []string) error {
+	fs := flag.NewFlagSet("coldstart", flag.ContinueOnError)
+	name := fs.String("workload", "", "simulation workload")
+	i := fs.Int("index", 0, "which set-up repetition")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	s, ok := simShapeOf(*name, 0)
+	if !ok {
+		return fmt.Errorf("no simulation workload %q", *name)
+	}
+	var t tally
+	if _, _, _, _, err := s.repetition(&t, nil, -1, s.setupConfig(*i), nil); err != nil {
+		return err
+	}
+	if t.failed > 0 {
+		return errors.New(strings.Join(t.problems, "; "))
+	}
+	return nil
 }
 
 // referenceChecks compares each model seed's committed count with runs
@@ -281,35 +348,67 @@ func runSim(o opts, s simShape) (*report, error) {
 		return nil, err
 	}
 	r := &report{metrics: map[string]float64{}}
-	setups, err := s.setups(&r.tally)
-	if err != nil {
+	if err := s.warmUp(&r.tally); err != nil {
 		return nil, err
 	}
+	var err error
 	if o.trace {
 		err = s.traced(o, r)
 	} else {
-		err = s.untraced(o, r, setups)
+		err = s.untraced(o, r)
 	}
 	return r, err
 }
 
-func (s *simShape) untraced(o opts, r *report, setups []float64) error {
-	l, err := s.loop(&r.tally, nil, o.seconds, samplesForTail(s.tailQ), true)
+// untraced measures the end-to-end metrics. The set-ups are spread over
+// the run, one before the first round and the others at even intervals
+// between rounds, so that their median rests on the same stretch of
+// host time as the repetitions' medians do.
+func (s *simShape) untraced(o opts, r *report) error {
+	var setups []float64
+	taken := 0
+	setUp := func() error {
+		x, ok, err := s.coldStart(&r.tally, taken)
+		taken++
+		if ok {
+			setups = append(setups, x)
+		}
+		return err
+	}
+	if err := setUp(); err != nil {
+		return err
+	}
+	l, err := s.loop(&r.tally, o.seconds, samplesForTail(s.tailQ), func(elapsed time.Duration) error {
+		if taken >= setupReps || elapsed.Seconds() < float64(taken)*o.seconds/setupReps {
+			return nil
+		}
+		return setUp()
+	})
 	if err != nil {
 		return err
+	}
+	for taken < setupReps {
+		if err := setUp(); err != nil {
+			return err
+		}
+	}
+	if len(setups) == 0 {
+		return errors.New("every cold start failed")
 	}
 	rss, err := peakRSSMB(os.Getpid())
 	if err != nil {
 		return err
 	}
-	hit := l.codec.hitMS()
-	const hitQ = 0.99 // the loop took at least codecTarget samples
 	m := r.metrics
 	m["committed_ev_per_s"] = median(l.rate)
-	m["jobs_per_s"] = float64(l.reps) / l.busy.Seconds()
+	m["jobs_per_s"] = 1e3 / median(l.repMS)
 	m["cold_ms_p50"] = median(l.runMS)
-	m["hit_ms_p50"] = median(hit)
-	m["resume_ms_p50"] = median(l.runMS)
+	// These workloads have no result cache, and oversub and dense write
+	// no snapshot: a repeated job, or a resumed one, costs a full Run
+	// here. Both metrics therefore report the Run median; they are
+	// stand-ins, not measurements of a cache hit or of Resume.
+	m["hit_ms_p50"] = m["cold_ms_p50"]
+	m["resume_ms_p50"] = m["cold_ms_p50"]
 	if s.ckptEvery > 0 {
 		m["resume_ms_p50"] = median(l.resumeMS)
 	}
@@ -319,10 +418,11 @@ func (s *simShape) untraced(o opts, r *report, setups []float64) error {
 	printTail("cold_ms", l.runMS, s.tailQ)
 	if s.ckptEvery > 0 {
 		printSamples("resume_ms", l.resumeMS, 0)
+	} else {
+		fmt.Println("resume_ms_p50 is a stand-in: no snapshot, so a resumed job reruns from the start")
 	}
-	printSamples("hit_ms (codec path)", hit, hitQ)
-	printTail("hit_ms (codec path)", hit, hitQ)
-	printSamples("setup_s", setups, 0)
+	fmt.Println("hit_ms_p50 is a stand-in: no cache, so a repeated job reruns in full")
+	printSamples("setup_s (cold starts)", setups, 0)
 	s.printSimStats(l)
 	s.referenceChecks(&r.tally, l)
 	return nil
@@ -338,31 +438,56 @@ func (s *simShape) printSimStats(l *simLoop) {
 	}
 }
 
-// traced runs half the time untraced and half traced, with spans
-// around every layer call and a CPU profile of the traced half.
+// traced alternates untraced rounds with traced ones until seconds have
+// passed and there are at least two of each. A traced round records
+// spans around every layer call and runs under a CPU profile of its
+// own. Alternating rounds keeps the host's drift out of the tracing
+// overhead, which compares the two kinds' medians.
 func (s *simShape) traced(o opts, r *report) error {
-	const minReps = 10
-	base, err := s.loop(&r.tally, nil, o.seconds/2, minReps, false)
-	if err != nil {
-		return err
-	}
+	base, l := s.newLoop(), s.newLoop()
+	// Both kinds of round check their repetitions against the same
+	// first Results of each seed.
+	l.res, l.resJSON = base.res, base.resJSON
 	tr := newTracer()
-	var prof bytes.Buffer
-	if err := pprof.StartCPUProfile(&prof); err != nil {
+	var (
+		profiles []string
+		alloc    uint64
+		start    = time.Now()
+	)
+	for round := 0; round%2 == 1 || round < 4 || time.Since(start).Seconds() < o.seconds; round++ {
+		if round%2 == 0 {
+			if err := s.round(&r.tally, nil, base, round); err != nil {
+				return err
+			}
+			continue
+		}
+		var prof bytes.Buffer
+		if err := pprof.StartCPUProfile(&prof); err != nil {
+			return err
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := s.round(&r.tally, tr, l, round)
+		runtime.ReadMemStats(&after)
+		pprof.StopCPUProfile()
+		if err != nil {
+			return err
+		}
+		alloc += after.TotalAlloc - before.TotalAlloc
+		path, err := writeProfile(prof.Bytes(), fmt.Sprintf("%s-seed%d-round%d.pprof", s.name, o.seed, round))
+		if err != nil {
+			return err
+		}
+		profiles = append(profiles, path)
+	}
+	if err := s.complete(l); err != nil {
 		return err
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	l, err := s.loop(&r.tally, tr, o.seconds/2, minReps, false)
-	runtime.ReadMemStats(&after)
-	pprof.StopCPUProfile()
+	p, err := readProfiles(profiles...)
 	if err != nil {
 		return err
 	}
-	p, err := saveProfile(prof.Bytes(), fmt.Sprintf("%s-seed%d.pprof", s.name, o.seed))
-	if err != nil {
-		return err
-	}
+	fmt.Printf("profiles: %d traced rounds, %s ...\n", len(profiles), profiles[0])
 	snapDir, err := os.MkdirTemp(workDir, "ckpt-")
 	if err != nil {
 		return err
@@ -378,12 +503,12 @@ func (s *simShape) traced(o opts, r *report) error {
 	layers := p.layerNanos()
 	recordLayers(m, layers, reps, ev)
 	m["ggpdes.rebuild_ms"] = float64(p.inclusiveNanos("ggpdes.(*runState).buildSegment")) / 1e6 / reps
-	m["ggpdes.alloc_b_per_ev"] = ratio(float64(after.TotalAlloc-before.TotalAlloc), reps*ev.committed)
+	m["ggpdes.alloc_b_per_ev"] = ratio(float64(alloc), reps*ev.committed)
 	recordSimStats(m, sum)
 	baseRate, tracedRate := median(base.rate), median(l.rate)
 	m["trace.overhead_pct"] = 100 * ratio(baseRate-tracedRate, baseRate)
 	printLayers("profile split", layers, reps)
-	fmt.Printf("tracing overhead: committed_ev_per_s untraced %.6g (n=%d), traced %.6g (n=%d)\n",
+	fmt.Printf("tracing overhead: committed_ev_per_s of untraced rounds %.6g (n=%d), of traced rounds %.6g (n=%d)\n",
 		baseRate, base.reps, tracedRate, l.reps)
 	s.printSimStats(l)
 
@@ -411,19 +536,15 @@ func (s *simShape) traced(o opts, r *report) error {
 	return nil
 }
 
-// saveProfile keeps a traced run's CPU profile beside its spans, for
-// go tool pprof, and decodes it.
-func saveProfile(data []byte, name string) (*cpuProfile, error) {
+// writeProfile keeps a traced round's CPU profile beside the spans, for
+// readProfiles and for go tool pprof, and returns its path.
+func writeProfile(data []byte, name string) (string, error) {
 	dir := filepath.Join(workDir, "spans")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+		return "", err
 	}
 	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, err
-	}
-	fmt.Println("profile:", path)
-	return parseCPUProfile(data)
+	return path, os.WriteFile(path, data, 0o644)
 }
 
 // repEvents are the events a repetition processes, rolls back and

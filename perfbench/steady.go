@@ -68,8 +68,6 @@ func steadyMain(args []string) error {
 		spread := (q3 - q1) / q2
 		verdict := "ok"
 		switch {
-		case spec.Name == "setup_s":
-			verdict = "(not gated)"
 		case spread > spec.Bound:
 			verdict = "WIDER THAN BOUND"
 		case spread > spec.Bound/3:
