@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke bench-diff bench-json dist-bench cluster-bench serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
+.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke bench-diff bench-json cluster-bench serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke inventory ci
 
 all: ci
 
@@ -39,13 +39,13 @@ test-race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over the external inputs — the trace CSV reader, the
-# Config JSON wire codec and the distributed binary batch codec; extend
-# FUZZTIME locally.
+# Config JSON wire codec and the checkpoint decoder; extend FUZZTIME
+# locally.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz='^FuzzConfigJSON$$' -fuzztime=$(FUZZTIME) .
-	$(GO) test -run=^$$ -fuzz='^FuzzBinaryFrame$$' -fuzztime=$(FUZZTIME) ./internal/dist
+	$(GO) test -run=^$$ -fuzz='^FuzzCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/checkpoint
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
@@ -66,11 +66,6 @@ bench-diff:
 # Regenerate the committed wall-clock benchmark record.
 bench-json:
 	GO="$(GO)" sh scripts/bench_json.sh
-
-# Regenerate the committed single-process vs 2-worker throughput
-# record with the batching A/B (BENCH_PR8.json).
-dist-bench:
-	GO="$(GO)" sh scripts/dist_bench.sh
 
 # End-to-end serving smoke: ggserved on an ephemeral port, one PHOLD
 # job to completion, identical resubmit served from cache, clean drain.
@@ -109,18 +104,11 @@ obs-smoke:
 inventory:
 	$(GO) run ./cmd/ggvet -write-inventory
 
-# Determinism smoke: the same seeded PHOLD config twice, then once
-# more sharded across 2 worker processes; the full verbose report
-# (results + telemetry histograms) and the series CSV must be
-# byte-identical — the end-to-end form of ggvet's determinism pass.
+# Determinism smoke: the same seeded PHOLD config twice; the full
+# verbose report (results + telemetry histograms) and the series CSV
+# must be byte-identical — the end-to-end form of ggvet's determinism
+# pass.
 determinism-smoke:
 	GO="$(GO)" sh scripts/determinism_smoke.sh
 
-# Distributed smoke: two real ggworker processes on ephemeral TCP
-# ports, a checkpointing ggsim coordinator against them, and the same
-# run in-process; reports, series, and shard checkpoint layout must
-# all line up.
-dist-smoke:
-	GO="$(GO)" sh scripts/dist_smoke.sh
-
-ci: build lint test test-race determinism-smoke dist-smoke serve-smoke chaos-smoke cluster-smoke obs-smoke bench-smoke
+ci: build lint test test-race determinism-smoke serve-smoke chaos-smoke cluster-smoke obs-smoke bench-smoke

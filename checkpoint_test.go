@@ -198,6 +198,69 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
+// A snapshot whose checksum is intact but whose engine state cannot be
+// restored is corrupt too: Resume must say so with a typed error, not
+// fail inside a simulation thread.
+func TestResumeRejectsCorruptEngineState(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Run(ckptCfg(PHOLD{LPsPerThread: 4, Imbalance: 2}, Barrier, dir)); err != nil {
+		t.Fatal(err)
+	}
+	path := listCheckpoints(t, dir)[0]
+	// firstPending returns the first peer holding a pending record.
+	firstPending := func(s *checkpoint.Snapshot) int {
+		for i, recs := range s.Engine.Pending {
+			if len(recs) > 0 {
+				return i
+			}
+		}
+		t.Fatal("snapshot holds no pending events")
+		return -1
+	}
+	cases := []struct {
+		name   string
+		mutate func(s *checkpoint.Snapshot)
+	}{
+		{"dst-out-of-range", func(s *checkpoint.Snapshot) {
+			s.Engine.Pending[firstPending(s)][0].Dst = 1 << 20
+		}},
+		{"negative-src", func(s *checkpoint.Snapshot) {
+			s.Engine.Pending[firstPending(s)][0].Src = -1
+		}},
+		{"dst-on-wrong-peer", func(s *checkpoint.Snapshot) {
+			i := firstPending(s)
+			other := (i + 1) % len(s.Engine.Pending)
+			s.Engine.Pending[other] = append(s.Engine.Pending[other], s.Engine.Pending[i][0])
+		}},
+		{"below-gvt", func(s *checkpoint.Snapshot) {
+			s.Engine.Pending[firstPending(s)][0].Ts = s.Engine.GVT - 1
+		}},
+		{"lp-count", func(s *checkpoint.Snapshot) {
+			s.Engine.LPs = s.Engine.LPs[1:]
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, err := checkpoint.Read(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(snap)
+			data, err := checkpoint.Encode(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := filepath.Join(t.TempDir(), "bad.json")
+			if err := os.WriteFile(bad, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Resume(bad); !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("got %v, want ErrCheckpointCorrupt", err)
+			}
+		})
+	}
+}
+
 // Without a directory, checkpointing still segments the run (and stays
 // deterministic) — nothing is persisted.
 func TestCheckpointWithoutDir(t *testing.T) {

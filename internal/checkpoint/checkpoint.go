@@ -129,14 +129,6 @@ func Decode(data []byte) (*Snapshot, error) {
 // what Latest relies on.
 func FileName(n int) string { return fmt.Sprintf("ckpt-%08d.json", n) }
 
-// ShardFileName returns the file name of worker shard's slice of
-// checkpoint n in a distributed run. The name is deliberately longer
-// than FileName's, so Latest — which matches exact-length full-run
-// snapshots only — never resumes from a partial shard file.
-func ShardFileName(n, shard int) string {
-	return fmt.Sprintf("ckpt-%08d.shard%02d.json", n, shard)
-}
-
 // Write atomically persists a snapshot as file number s.Segments under
 // dir, creating the directory as needed.
 func Write(dir string, s *Snapshot) (string, error) {
@@ -148,24 +140,31 @@ func Write(dir string, s *Snapshot) (string, error) {
 }
 
 // WriteBytes atomically persists pre-encoded snapshot bytes as
-// checkpoint number n under dir.
+// checkpoint number n under dir. Several writers may share dir (fleet
+// replicas failing over onto one keyed directory), so each writes its
+// own uniquely named temp file and renames it into place; the last
+// rename wins, and every writer's file is complete.
 func WriteBytes(dir string, n int, data []byte) (string, error) {
-	return WriteNamed(dir, FileName(n), data)
-}
-
-// WriteNamed atomically persists pre-encoded snapshot bytes under dir
-// with an explicit file name — how distributed runs place per-shard
-// files (ShardFileName) next to the full snapshot.
-func WriteNamed(dir, name string, data []byte) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}
-	path := filepath.Join(dir, name)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	path := filepath.Join(dir, FileName(n))
+	f, err := os.CreateTemp(dir, FileName(n)+".*.tmp")
+	if err != nil {
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}

@@ -116,7 +116,7 @@ func (d *dynamicAffinity) OnRoundComplete(p *machine.Proc, acc *machine.Acc, g *
 		d.pinnedCount[core]++
 		d.coreOf[tid] = core
 		d.Repins++
-		g.r.tel.repins[tid].Inc()
+		g.r.tel.repins.Inc()
 		if t := g.r.cfg.Trace; t != nil {
 			t.Add(trace.KindRepin, tid, 0, int64(core))
 		}

@@ -163,10 +163,6 @@ type Config struct {
 	// Telemetry, when non-nil, receives scheduler metrics (see the
 	// Metric constants) and is forwarded to the GVT layer.
 	Telemetry *telemetry.Registry
-	// GVTOnCut, when non-nil, is forwarded to gvt.Config.OnCut: the
-	// Mattern-style cut notification the distributed coordinator uses
-	// to stamp wire traffic with cut generations. Observability only.
-	GVTOnCut func(cut int, round uint64)
 	// Faults, when non-nil, injects thread-level faults into the main
 	// loop (see internal/chaos). A killed thread exits immediately and
 	// never comes back, which typically stalls GVT; a stalled thread
@@ -200,14 +196,11 @@ type Runner struct {
 	shutdownDone bool
 }
 
-// coreTelemetry caches metric handles for the scheduling hot paths,
-// one registry shard per thread so recording never shares a cache
-// line across threads. Handles are indexed by the tid the operation
-// concerns (the thread being activated, deactivated or repinned).
+// coreTelemetry caches metric handles for the scheduling hot paths.
 type coreTelemetry struct {
-	descheduleSpan             []*telemetry.Histogram
-	deactivations, activations []*telemetry.Counter
-	repins                     []*telemetry.Counter
+	descheduleSpan             *telemetry.Histogram
+	deactivations, activations *telemetry.Counter
+	repins                     *telemetry.Counter
 }
 
 // scheduler is the demand-driven scheduling behaviour, invoked from the
@@ -251,17 +244,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 
 	n := len(cfg.Engine.Peers())
 	r.tel = coreTelemetry{
-		descheduleSpan: make([]*telemetry.Histogram, n),
-		deactivations:  make([]*telemetry.Counter, n),
-		activations:    make([]*telemetry.Counter, n),
-		repins:         make([]*telemetry.Counter, n),
-	}
-	for tid := 0; tid < n; tid++ {
-		sh := cfg.Telemetry.Shard(tid)
-		r.tel.descheduleSpan[tid] = sh.Histogram(MetricDescheduleSpan)
-		r.tel.deactivations[tid] = sh.Counter(MetricDeactivations)
-		r.tel.activations[tid] = sh.Counter(MetricActivations)
-		r.tel.repins[tid] = sh.Counter(MetricRepins)
+		descheduleSpan: cfg.Telemetry.Histogram(MetricDescheduleSpan),
+		deactivations:  cfg.Telemetry.Counter(MetricDeactivations),
+		activations:    cfg.Telemetry.Counter(MetricActivations),
+		repins:         cfg.Telemetry.Counter(MetricRepins),
 	}
 	mcfg := cfg.Machine.Config()
 	usableCores := mcfg.Cores
@@ -309,7 +295,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		Costs:     cfg.GVTCosts,
 		Adaptive:  cfg.GVTAdaptive,
 		Telemetry: cfg.Telemetry,
-		OnCut:     cfg.GVTOnCut,
 	})
 	if err != nil {
 		return nil, err
@@ -408,7 +393,7 @@ func (r *Runner) threadBody(p *machine.Proc, tid int) {
 				continue
 			}
 		}
-		drained, processed := peer.DrainProcess(acc)
+		drained, processed := peer.Drain(acc), peer.ProcessBatch(acc)
 		r.sched.ReadMessageCount(tid)
 		before := r.alg.Rounds()
 		r.alg.Step(p, acc, tid)

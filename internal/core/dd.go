@@ -95,7 +95,7 @@ func (d *ddSched) OnEnd(p *machine.Proc, acc *machine.Acc, tid int) {
 		d.activeThreads[tid] = false
 		d.numActive--
 		d.Deactivations++
-		d.r.tel.deactivations[tid].Inc()
+		d.r.tel.deactivations.Inc()
 		if t := d.r.cfg.Trace; t != nil {
 			t.Add(trace.KindDeactivate, tid, 0, 0)
 		}
@@ -108,7 +108,7 @@ func (d *ddSched) OnEnd(p *machine.Proc, acc *machine.Acc, tid int) {
 	blockedAt := p.NowCycles()
 	p.SemWait(d.semLocks[tid])
 	// Woken by the controller (or shutdown).
-	d.r.tel.descheduleSpan[tid].Observe(float64(p.NowCycles() - blockedAt))
+	d.r.tel.descheduleSpan.Observe(float64(p.NowCycles() - blockedAt))
 	p.Lock(d.mu)
 	d.posted[tid] = false
 	d.activeThreads[tid] = true
@@ -141,7 +141,7 @@ func (d *ddSched) controllerBody(p *machine.Proc) {
 				if !d.activeThreads[i] && !d.posted[i] && eng.Peer(i).HasExecutableWork() {
 					d.posted[i] = true
 					d.Activations++
-					d.r.tel.activations[i].Inc()
+					d.r.tel.activations.Inc()
 					acc.Flush()
 					p.SemPost(d.semLocks[i])
 				}

@@ -90,7 +90,7 @@ func (g *ggSched) OnAware(p *machine.Proc, acc *machine.Acc, tid int) {
 		if !g.activeThreads[i] && !g.posted[i] && eng.Peer(i).HasExecutableWork() {
 			g.posted[i] = true
 			g.Activations++
-			g.r.tel.activations[i].Inc()
+			g.r.tel.activations.Inc()
 			acc.Flush()
 			p.SemPost(g.semLocks[i])
 		}
@@ -120,7 +120,7 @@ func (g *ggSched) OnEnd(p *machine.Proc, acc *machine.Acc, tid int) {
 	g.activeThreads[tid] = false
 	g.numActive--
 	g.Deactivations++
-	g.r.tel.deactivations[tid].Inc()
+	g.r.tel.deactivations.Inc()
 	if t := g.r.cfg.Trace; t != nil {
 		t.Add(trace.KindDeactivate, tid, 0, 0)
 	}
@@ -129,7 +129,7 @@ func (g *ggSched) OnEnd(p *machine.Proc, acc *machine.Acc, tid int) {
 	blockedAt := p.NowCycles()
 	p.SemWait(g.semLocks[tid])
 	// Lines 14-17: woken by the pseudo-controller (or shutdown).
-	g.r.tel.descheduleSpan[tid].Observe(float64(p.NowCycles() - blockedAt))
+	g.r.tel.descheduleSpan.Observe(float64(p.NowCycles() - blockedAt))
 	g.posted[tid] = false
 	g.activeThreads[tid] = true
 	g.numActive++

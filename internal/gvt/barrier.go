@@ -117,14 +117,12 @@ func (b *barrierGVT) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 		// synchronized; the world being stopped is this algorithm's
 		// first (trivially consistent) cut.
 		b.roundSize = b.participants
-		if f := b.cfg.OnCut; f != nil {
-			f(1, b.rounds)
-		}
 	}
 
 	// No thread is processing events now: drain and record a perfect
 	// local minimum.
-	_, min := peer.DrainLocalMin(cpu)
+	peer.Drain(cpu)
+	min := peer.LocalMin(cpu)
 	b.localMin[tid] = min
 	acc.Flush()
 	if p.BarrierWait(b.bar2) {
@@ -141,7 +139,8 @@ func (b *barrierGVT) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 				// and still processing before their join applies) are
 				// scanned on their behalf: queues plus their unread
 				// sent-minimum window.
-				rm, ms := b.eng.Peer(i).ScanMins()
+				q := b.eng.Peer(i)
+				rm, ms := q.RemoteMin(), q.PeekMinSent()
 				if rm < gmin {
 					gmin = rm
 				}
@@ -150,9 +149,6 @@ func (b *barrierGVT) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 				}
 			}
 			b.charge(acc, tid, b.costs.ReduceCyclesPerThread)
-		}
-		if f := b.cfg.OnCut; f != nil {
-			f(2, b.rounds)
 		}
 		b.eng.SetGVT(math.Min(gmin, b.eng.EndTime()))
 		b.cfg.Hooks.OnAware(p, acc, tid)
@@ -167,7 +163,7 @@ func (b *barrierGVT) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 	if b.endCount >= b.roundSize {
 		b.endCount = 0
 		b.rounds++
-		b.rt.roundComplete(tid)
+		b.rt.roundComplete()
 		if ad := b.cfg.Adaptive; ad != nil {
 			b.freq = ad.adapt(b.freq, b.eng.PeakUncommittedSinceMark(), len(b.eng.Peers()))
 			b.eng.MarkUncommitted()

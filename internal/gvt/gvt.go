@@ -29,40 +29,30 @@ const (
 )
 
 // roundTelemetry observes round-completion latency for both
-// algorithms. Handles are per-thread registry shards, indexed by the
-// tid that closes the round, so recording never contends with another
-// thread's cells; the round timestamp itself is shared because round
-// completion is a global event (machine-serialized, like everything
-// here).
+// algorithms. Round completion is a global event (machine-serialized,
+// like everything here), so one set of handles serves every thread.
 type roundTelemetry struct {
 	clock   func() uint64
-	latency []*telemetry.Histogram
-	rounds  []*telemetry.Counter
+	latency *telemetry.Histogram
+	rounds  *telemetry.Counter
 	last    uint64
 }
 
 func newRoundTelemetry(cfg *Config) roundTelemetry {
-	n := len(cfg.Engine.Peers())
-	rt := roundTelemetry{
+	return roundTelemetry{
 		clock:   cfg.Machine.NowCycles,
-		latency: make([]*telemetry.Histogram, n),
-		rounds:  make([]*telemetry.Counter, n),
+		latency: cfg.Telemetry.Histogram(MetricRoundLatency),
+		rounds:  cfg.Telemetry.Counter(MetricRounds),
 	}
-	for tid := 0; tid < n; tid++ {
-		sh := cfg.Telemetry.Shard(tid)
-		rt.latency[tid] = sh.Histogram(MetricRoundLatency)
-		rt.rounds[tid] = sh.Counter(MetricRounds)
-	}
-	return rt
 }
 
 // roundComplete records the wall-cycle gap since the previous round
-// (the run start, for the first one) on the closing thread's shard.
-func (rt *roundTelemetry) roundComplete(tid int) {
+// (the run start, for the first one).
+func (rt *roundTelemetry) roundComplete() {
 	now := rt.clock()
-	rt.latency[tid].Observe(float64(now - rt.last))
+	rt.latency.Observe(float64(now - rt.last))
 	rt.last = now
-	rt.rounds[tid].Inc()
+	rt.rounds.Inc()
 }
 
 // Kind selects a GVT algorithm.
@@ -233,15 +223,6 @@ type Config struct {
 	// Telemetry, when non-nil, receives round-latency metrics (see the
 	// Metric constants).
 	Telemetry *telemetry.Registry
-	// OnCut, when non-nil, is invoked at the two Mattern-style cut
-	// points of every round: cut 1 when the round's first local-minimum
-	// cut is recorded (barrier: the stop-the-world generation; wait-free:
-	// the first thread entering Phase A), and cut 2 when the reduction
-	// is complete, immediately before the new GVT is published. The
-	// distributed coordinator stamps wire traffic with the cut
-	// generation from this hook. It runs outside cost accounting and
-	// must not touch engine state — observability only.
-	OnCut func(cut int, round uint64)
 }
 
 // New builds the requested algorithm over all engine threads.

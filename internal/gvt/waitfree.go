@@ -138,11 +138,6 @@ func (w *waitFree) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 			return
 		}
 		// Phase A: record the first cut.
-		if w.countA == 0 {
-			if f := w.cfg.OnCut; f != nil {
-				f(1, w.round)
-			}
-		}
 		w.localMinA[tid] = peer.LocalMin(w.cpu(acc, tid, peer))
 		w.charge(acc, tid, w.costs.PhaseAdvanceCycles)
 		w.countA++
@@ -165,7 +160,8 @@ func (w *waitFree) stepSend(p *machine.Proc, acc *machine.Acc, tid int, peer *tw
 	}
 	// Phase B: second cut, folding the continuous sent-minimum window.
 	min := w.localMinA[tid]
-	ms, lm := peer.CutMins(w.cpu(acc, tid, peer))
+	cpu := w.cpu(acc, tid, peer)
+	ms, lm := peer.TakeMinSent(), peer.LocalMin(cpu)
 	if ms < min {
 		min = ms
 	}
@@ -200,7 +196,8 @@ func (w *waitFree) stepAwareEnd(p *machine.Proc, acc *machine.Acc, tid int, peer
 				// Threads without a cut this round (de-scheduled or
 				// waiting to rejoin) are scanned on their behalf:
 				// queues plus their unread sent-minimum window.
-				rm, ms := w.eng.Peer(i).ScanMins()
+				q := w.eng.Peer(i)
+				rm, ms := q.RemoteMin(), q.PeekMinSent()
 				if rm < gmin {
 					gmin = rm
 				}
@@ -209,9 +206,6 @@ func (w *waitFree) stepAwareEnd(p *machine.Proc, acc *machine.Acc, tid int, peer
 				}
 			}
 			w.charge(acc, tid, w.costs.ReduceCyclesPerThread)
-		}
-		if f := w.cfg.OnCut; f != nil {
-			f(2, w.round)
 		}
 		w.eng.SetGVT(math.Min(gmin, w.eng.EndTime()))
 		w.cfg.Hooks.OnAware(p, acc, tid)
@@ -235,7 +229,7 @@ func (w *waitFree) stepAwareEnd(p *machine.Proc, acc *machine.Acc, tid int, peer
 func (w *waitFree) resetRound(tid int) {
 	w.round++
 	w.rounds++
-	w.rt.roundComplete(tid)
+	w.rt.roundComplete()
 	if ad := w.cfg.Adaptive; ad != nil {
 		w.freq = ad.adapt(w.freq, w.eng.PeakUncommittedSinceMark(), len(w.eng.Peers()))
 		w.eng.MarkUncommitted()

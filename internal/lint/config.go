@@ -29,12 +29,6 @@ type Config struct {
 	// switches over them must cover every declared constant or fail
 	// loudly in default.
 	EnumTypes []string
-	// StrictEnumTypes are enum types (added to EnumTypes if not already
-	// listed) where a loudly-failing default is not an escape: wire
-	// protocol tags, where the default only classifies corrupt frames
-	// and a missing case silently misroutes a valid one. Switches over
-	// them must case every declared constant explicitly.
-	StrictEnumTypes []string
 	// EnumPkg is the module-relative package holding the public enum
 	// name tables (the Parse* functions) — "" disables the table check.
 	EnumPkg string
@@ -51,10 +45,6 @@ type Config struct {
 	// RegistryType is the fully qualified telemetry registry type whose
 	// Counter/Gauge/Histogram arguments are metric names.
 	RegistryType string
-	// ShardType is the fully qualified per-thread shard handle type
-	// whose Counter/Gauge/Histogram calls register the same names ("" =
-	// registry only).
-	ShardType string
 	// InventoryFile is the checked-in metric inventory, one
 	// "kind name" pair per line, relative to the module root.
 	InventoryFile string
@@ -94,13 +84,6 @@ type Config struct {
 	// StreamTerminalEvents are the event names that terminate a stream
 	// (nil = ["done", "error"]).
 	StreamTerminalEvents []string
-
-	// FrameKindTypes are fully qualified frame-kind enums (wire message
-	// tags): every declared constant must have at least one send/encode
-	// site and one receive/dispatch site outside String/Parse tables —
-	// a kind nobody produces is dead surface, a kind nobody dispatches
-	// is silently dropped on receive.
-	FrameKindTypes []string
 }
 
 // DefaultConfig is the real repository's shape.
@@ -121,12 +104,6 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/core.System", modulePath + "/internal/core.Affinity",
 			modulePath + "/internal/gvt.Kind", modulePath + "/internal/pq.Kind",
 			modulePath + "/internal/tw.SavePolicy",
-			modulePath + "/internal/dist.MsgKind", modulePath + "/internal/dist.OpCode",
-			modulePath + "/internal/dist.Wire",
-		},
-		StrictEnumTypes: []string{
-			modulePath + "/internal/dist.MsgKind", modulePath + "/internal/dist.OpCode",
-			modulePath + "/internal/dist.Wire",
 		},
 		EnumPkg:       ".",
 		ModelIface:    modulePath + ".Model",
@@ -135,24 +112,13 @@ func DefaultConfig(modulePath string) Config {
 		ModelCodecPkg: "internal/models",
 
 		RegistryType:  modulePath + "/internal/telemetry.Registry",
-		ShardType:     modulePath + "/internal/telemetry.Shard",
 		InventoryFile: "internal/telemetry/inventory.txt",
 
 		CtxPkgs: []string{".", "internal/serve", "internal/machine"},
 
-		LockOrderPkgs: []string{
-			"internal/serve/...", "internal/dist", "internal/telemetry",
-		},
-		ChanClosePkgs: []string{
-			".", "internal/serve/...", "internal/dist", "internal/telemetry",
-		},
-		GoroTrackPkgs: []string{
-			".", "cmd/...", "internal/serve/...", "internal/dist",
-		},
-		StreamPkgs: []string{"internal/serve"},
-		FrameKindTypes: []string{
-			modulePath + "/internal/dist.MsgKind",
-			modulePath + "/internal/dist.OpCode",
-		},
+		LockOrderPkgs: []string{"internal/serve/...", "internal/telemetry"},
+		ChanClosePkgs: []string{".", "internal/serve/...", "internal/telemetry"},
+		GoroTrackPkgs: []string{".", "cmd/...", "internal/serve/..."},
+		StreamPkgs:    []string{"internal/serve"},
 	}
 }

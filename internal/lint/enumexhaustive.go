@@ -10,10 +10,7 @@ package lint
 //
 // The pass enforces, for every switch whose tag is an enum type:
 // cover every declared constant, or carry a default that fails loudly
-// (panic, os.Exit, or returning/assigning a constructed error). Strict
-// enums — wire protocol tags, where the default's job is classifying
-// corrupt frames and a missing case silently misroutes a valid one —
-// get no loud-default escape: every variant must be cased. On the
+// (panic, os.Exit, or returning/assigning a constructed error). On the
 // public package it additionally cross-checks the name tables: each
 // Parse<Enum> function must return every declared constant, the model
 // encode/decode tag tables must cover exactly the Model
@@ -32,17 +29,13 @@ var enumExhaustivePass = &Pass{
 	Doc:  "switches over Config enums must cover all variants or fail loudly; enum and model name tables must stay mutually exhaustive",
 	Run: func(c *Checker) {
 		enums := c.resolveNamed(c.Cfg.EnumTypes)
-		strict := c.resolveNamed(c.Cfg.StrictEnumTypes)
-		for tn := range strict {
-			enums[tn] = true
-		}
 		if len(enums) > 0 {
 			variants := map[*types.TypeName][]*types.Const{}
 			for tn := range enums {
 				variants[tn] = enumConstants(c.Prog, tn)
 			}
 			for _, pkg := range c.Prog.Packages {
-				c.enumSwitches(pkg, enums, strict, variants)
+				c.enumSwitches(pkg, enums, variants)
 			}
 		}
 		if c.Cfg.EnumPkg != "" {
@@ -76,7 +69,7 @@ func enumConstants(prog *Program, tn *types.TypeName) []*types.Const {
 	return out
 }
 
-func (c *Checker) enumSwitches(pkg *Package, enums, strict map[*types.TypeName]bool, variants map[*types.TypeName][]*types.Const) {
+func (c *Checker) enumSwitches(pkg *Package, enums map[*types.TypeName]bool, variants map[*types.TypeName][]*types.Const) {
 	inspect(pkg, func(n ast.Node) bool {
 		sw, ok := n.(*ast.SwitchStmt)
 		if !ok || sw.Tag == nil {
@@ -109,11 +102,6 @@ func (c *Checker) enumSwitches(pkg *Package, enums, strict map[*types.TypeName]b
 			}
 		}
 		if len(missing) == 0 {
-			return true
-		}
-		if strict[named.Obj()] {
-			c.Report(sw.Pos(), "switch over %s misses %s: strict wire enum, case every variant explicitly — the default only classifies corrupt frames",
-				named.Obj().Name(), strings.Join(missing, ", "))
 			return true
 		}
 		if defaultClause != nil && failsLoudly(pkg, defaultClause) {

@@ -145,13 +145,12 @@ func TestPooledEscapeFixture(t *testing.T) {
 
 func TestEnumExhaustiveFixture(t *testing.T) {
 	cfg := Config{
-		EnumTypes:       []string{"enumfx.Color"},
-		StrictEnumTypes: []string{"enumfx/wire.Kind", "enumfx/wire.Codec"},
-		EnumPkg:         ".",
-		ModelIface:      "enumfx.Model",
-		ModelEncode:     "encodeModel",
-		ModelDecode:     "decodeModel",
-		ModelCodecPkg:   "state",
+		EnumTypes:     []string{"enumfx.Color"},
+		EnumPkg:       ".",
+		ModelIface:    "enumfx.Model",
+		ModelEncode:   "encodeModel",
+		ModelDecode:   "decodeModel",
+		ModelCodecPkg: "state",
 	}
 	extra := runFixture(t, "enumexhaustive", "enumfx", cfg, []*Pass{enumExhaustivePass})
 	if len(extra) != 0 {
@@ -211,10 +210,7 @@ func TestGoroLeakFixture(t *testing.T) {
 }
 
 func TestStreamTermFixture(t *testing.T) {
-	cfg := Config{
-		StreamPkgs:     []string{"."},
-		FrameKindTypes: []string{"streamfx.Kind"},
-	}
+	cfg := Config{StreamPkgs: []string{"."}}
 	extra := runFixture(t, "streamterm", "streamfx", cfg, []*Pass{streamTermPass})
 	if len(extra) != 0 {
 		t.Errorf("unexpected file-level diagnostics: %v", extra)

@@ -1,6 +1,6 @@
 package lint
 
-// lockorder: the serving and distribution layers coordinate through a
+// lockorder: the serving and clustering layers coordinate through a
 // handful of struct-field mutexes (Manager.mu, resultCache.mu, the
 // telemetry instrument locks). Two disciplines keep them deadlock-free
 // and responsive, and this pass mechanically enforces both:

@@ -5,9 +5,8 @@ package lint
 // dashboards, the serve API) joins on those strings. A typo'd or
 // restyled name silently forks a metric. The pass pins three things:
 //
-//   - the name argument of Registry.Counter/Gauge/Histogram — and of
-//     the per-thread Shard handle's methods of the same names — must be
-//     a compile-time constant matching lowercase dotted form
+//   - the name argument of Registry.Counter/Gauge/Histogram must be a
+//     compile-time constant matching lowercase dotted form
 //     ("pkg.metric_name");
 //   - a name spelled as a raw string literal may appear at exactly one
 //     call site — shared names must be hoisted to a named constant so
@@ -75,16 +74,11 @@ var telemetryNamePass = &Pass{
 	},
 }
 
-// collectMetricSites gathers every Registry/Shard metric registration
-// site outside the telemetry package itself. The registry's own
-// package registers dynamically (Import, shard spine growth) and is
-// exempt.
+// collectMetricSites gathers every Registry metric registration site
+// outside the telemetry package itself. The registry's own package
+// registers dynamically (Import) and is exempt.
 func (c *Checker) collectMetricSites() ([]metricSite, bool) {
-	names := []string{c.Cfg.RegistryType}
-	if c.Cfg.ShardType != "" {
-		names = append(names, c.Cfg.ShardType)
-	}
-	recvs := c.resolveNamed(names)
+	recvs := c.resolveNamed([]string{c.Cfg.RegistryType})
 	if len(recvs) == 0 {
 		return nil, false
 	}
@@ -102,7 +96,7 @@ func (c *Checker) collectMetricSites() ([]metricSite, bool) {
 	return sites, true
 }
 
-// metricSites collects Registry/Shard Counter/Gauge/Histogram call
+// metricSites collects Registry Counter/Gauge/Histogram call
 // sites in pkg with the constant name value when there is one.
 func (c *Checker) metricSites(pkg *Package, recvs map[*types.TypeName]bool) []metricSite {
 	var out []metricSite

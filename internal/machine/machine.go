@@ -47,16 +47,12 @@ type telemetryHandles struct {
 }
 
 func (m *Machine) bindTelemetry(reg *telemetry.Registry) {
-	// The machine runs entirely on its single driving goroutine, so
-	// one shard (tid 0) suffices; what matters is that its cells do
-	// not share cache lines with the worker-thread shards.
-	sh := reg.Shard(0)
 	m.tel = telemetryHandles{
-		migrations:   sh.Counter(MetricMigrations),
-		preempts:     sh.Counter(MetricPreempts),
-		ctxSwitches:  sh.Counter(MetricCtxSwitches),
-		runqDepth:    sh.Histogram(MetricRunqDepth),
-		smtOccupancy: sh.Histogram(MetricSMTOccupancy),
+		migrations:   reg.Counter(MetricMigrations),
+		preempts:     reg.Counter(MetricPreempts),
+		ctxSwitches:  reg.Counter(MetricCtxSwitches),
+		runqDepth:    reg.Histogram(MetricRunqDepth),
+		smtOccupancy: reg.Histogram(MetricSMTOccupancy),
 	}
 }
 

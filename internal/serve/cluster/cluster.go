@@ -5,7 +5,7 @@
 // from the owner's cache (GET /v2/cluster/result/{key}) and otherwise
 // delegate the run to it (POST /v2/cluster/jobs), so each distinct
 // config simulates at most once fleet-wide. Because runs are
-// deterministic (DESIGN.md §10), a peer's cached result is exactly
+// deterministic (DESIGN.md §8), a peer's cached result is exactly
 // the result a local run would have produced — peering is sound, not
 // just probably-fine.
 //
@@ -32,8 +32,8 @@ import (
 
 // ErrPeerLost marks a peer that could not be reached or died mid-
 // request: connection refused, reset, or EOF before a response. The
-// serving layer treats it like dist.ErrWorkerLost — an environmental
-// failure worth failing over from, not a job failure.
+// serving layer treats it as an environmental failure worth failing
+// over from, not a job failure.
 var ErrPeerLost = errors.New("cluster: peer unreachable")
 
 // ErrNotCached is returned by FetchResult when the peer is healthy

@@ -4,8 +4,7 @@ package cluster
 // ggvet's telemetryname pass can hold the registration sites and the
 // checked-in inventory (internal/telemetry/inventory.txt) to one set
 // of spellings. All of them are registered only when a Cluster is
-// built, so a single-node ggserved exposes no cluster.* plane at all
-// (the same discipline dist.* follows for non-distributed runs).
+// built, so a single-node ggserved exposes no cluster.* plane at all.
 const (
 	// Fill protocol: results copied from the owning peer's cache
 	// without simulating, and the misses that fell through to a

@@ -17,7 +17,6 @@ import (
 	"ggpdes"
 	"ggpdes/internal/chaos"
 	"ggpdes/internal/checkpoint"
-	"ggpdes/internal/dist"
 	"ggpdes/internal/rng"
 	"ggpdes/internal/serve/cluster"
 	"ggpdes/internal/telemetry"
@@ -538,7 +537,7 @@ func (m *Manager) Cancel(id string) (Status, bool) {
 		m.retainLocked(j.id)
 		m.cancelled.Inc()
 		// Duplicates coalesced onto this job share its fate: the leader
-		// was the only execution they were waiting on (DESIGN.md §10).
+		// was the only execution they were waiting on (DESIGN.md §8).
 		m.finalizeLocked(j)
 	case StateRunning:
 		// The worker observes the context and finishes the lifecycle.
@@ -1062,12 +1061,10 @@ func (m *Manager) attempt(jobCtx context.Context, j *Job, cfg ggpdes.Config, ckp
 }
 
 // retryable reports whether an attempt failure was injected by the
-// harness (crash or stall) or was a lost distributed-worker connection
-// — environmental failures — rather than requested by the client or
-// inherent to the config.
+// harness (crash or stall) — an environmental failure — rather than
+// requested by the client or inherent to the config.
 func retryable(err error) bool {
-	return errors.Is(err, chaos.ErrInjectedCrash) || errors.Is(err, ErrStalled) ||
-		errors.Is(err, dist.ErrWorkerLost)
+	return errors.Is(err, chaos.ErrInjectedCrash) || errors.Is(err, ErrStalled)
 }
 
 // backoff is the delay before retry number `attempt`: base doubled per

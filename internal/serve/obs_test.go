@@ -136,8 +136,7 @@ func TestSeriesDisabled(t *testing.T) {
 }
 
 // TestScrapeMidRun hammers /metrics and /v1/stats while 8 jobs record
-// through shard handles — the contention pattern the sharded registry
-// exists for. Run with -race it doubles as the data-race audit.
+// their metrics. Run with -race it doubles as the data-race audit.
 func TestScrapeMidRun(t *testing.T) {
 	m, srv := startObsServer(t, Options{Workers: 4, QueueDepth: 16})
 

@@ -6,18 +6,18 @@ import (
 )
 
 // TestOpenMetricsGolden pins the exposition byte-for-byte for a small
-// registry exercising all three kinds, shard merging, and the
-// unset-gauge skip. Scrapers and the ggtop parser both depend on this
+// registry exercising all three kinds, repeated lookups of one name,
+// and the unset-gauge skip. Scrapers and the ggtop parser both depend on this
 // exact shape.
 func TestOpenMetricsGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("tw.rollbacks").Add(2)
-	r.Shard(0).Counter("tw.rollbacks").Add(3)
-	r.Shard(1).Counter("serve.jobs_completed").Inc()
-	r.Shard(0).Gauge("serve.jobs_in_flight").Set(2)
-	r.Shard(3).Gauge("serve.jobs_in_flight").Set(1)
+	r.Counter("tw.rollbacks").Add(3)
+	r.Counter("serve.jobs_completed").Inc()
+	r.Gauge("serve.jobs_in_flight").Set(1)
+	r.Gauge("serve.jobs_in_flight").Set(2)
 	_ = r.Gauge("tw.uncommitted_peak") // never set: must be skipped
-	h := r.Shard(2).Histogram("tw.rollback_depth")
+	h := r.Histogram("tw.rollback_depth")
 	h.Observe(0.5) // bucket 0: [0,1)
 	h.Observe(3)   // bucket 2: [2,4)
 	h.Observe(3.5)

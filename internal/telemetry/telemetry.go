@@ -8,13 +8,10 @@
 // counters are atomic and gauges/histograms take a short uncontended
 // mutex, so a registry may be shared across concurrent simulations
 // (the serving layer's job metrics) as well as used from the
-// serialized simulated machine. Hot producers take per-thread Shard
-// views (see shard.go) whose cells are cache-line padded, so parallel
-// recording never contends on a shared line; every read-side accessor
-// merges the shards back into the totals an unsharded registry would
-// report. All accessors are nil-receiver safe: a producer constructed
-// without a registry still gets working (but unreported) metric
-// handles, so instrumentation sites never need nil checks.
+// serialized simulated machine. All accessors are nil-receiver safe: a
+// producer constructed without a registry still gets working (but
+// unreported) metric handles, so instrumentation sites never need nil
+// checks.
 package telemetry
 
 import (
@@ -242,26 +239,14 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-
-	// Per-thread shard cells (see shard.go). Indexed by tid; nil
-	// entries are tids that never touched the metric. shardsOff
-	// routes Shard handles at the shared base cells instead (the
-	// contention benchmark's A/B arm).
-	counterCells map[string][]*counterCell
-	gaugeCells   map[string][]*gaugeCell
-	histCells    map[string][]*histCell
-	shardsOff    bool
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:     map[string]*Counter{},
-		gauges:       map[string]*Gauge{},
-		histograms:   map[string]*Histogram{},
-		counterCells: map[string][]*counterCell{},
-		gaugeCells:   map[string][]*gaugeCell{},
-		histCells:    map[string][]*histCell{},
+		counters:   map[string]*Counter{},
+		gauges:     map[string]*Gauge{},
+		histograms: map[string]*Histogram{},
 	}
 }
 
@@ -273,10 +258,6 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.counterLocked(name)
-}
-
-func (r *Registry) counterLocked(name string) *Counter {
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -293,10 +274,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gaugeLocked(name)
-}
-
-func (r *Registry) gaugeLocked(name string) *Gauge {
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
@@ -313,10 +290,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.histogramLocked(name)
-}
-
-func (r *Registry) histogramLocked(name string) *Histogram {
 	h, ok := r.histograms[name]
 	if !ok {
 		h = &Histogram{}
@@ -325,8 +298,7 @@ func (r *Registry) histogramLocked(name string) *Histogram {
 	return h
 }
 
-// Counters returns a name -> value snapshot of all counters, shard
-// cells merged in.
+// Counters returns a name -> value snapshot of all counters.
 func (r *Registry) Counters() map[string]uint64 {
 	if r == nil {
 		return nil
@@ -337,9 +309,9 @@ func (r *Registry) Counters() map[string]uint64 {
 }
 
 // Gauges returns a name -> value snapshot of the gauges that have been
-// set (shard cells merged by maximum). Gauges that were registered but
-// never recorded are omitted rather than reported as a misleading 0;
-// callers that need the set flag itself use Snapshot.
+// set. Gauges that were registered but never recorded are omitted
+// rather than reported as a misleading 0; callers that need the set
+// flag itself use Snapshot.
 func (r *Registry) Gauges() map[string]float64 {
 	if r == nil {
 		return nil
@@ -356,8 +328,7 @@ func (r *Registry) Gauges() map[string]float64 {
 	return out
 }
 
-// Histograms returns a name -> summary snapshot of all histograms,
-// shard cells merged bucket-wise.
+// Histograms returns a name -> summary snapshot of all histograms.
 func (r *Registry) Histograms() map[string]Summary {
 	if r == nil {
 		return nil
@@ -399,11 +370,8 @@ type MetricsState struct {
 	Histograms map[string]HistogramState `json:"histograms,omitempty"`
 }
 
-// Export captures the registry's full raw state with shard cells
-// merged in: counters summed, gauges merged by maximum set value,
-// histogram buckets added. The merge is lossless for counters and
-// histograms — importing the export into a fresh registry reproduces
-// the merged totals exactly.
+// Export captures the registry's full raw state; importing it into a
+// fresh registry reproduces the registry exactly.
 func (r *Registry) Export() MetricsState {
 	if r == nil {
 		return MetricsState{}
@@ -417,10 +385,8 @@ func (r *Registry) Export() MetricsState {
 	}
 }
 
-// Snapshot is the merged-on-read view of the registry: every base and
-// shard cell folded into one MetricsState. It is Export under the
-// name the observability plane uses — the exposition endpoint and the
-// stats API render from a Snapshot.
+// Snapshot is Export under the name the observability plane uses —
+// the exposition endpoint and the stats API render from a Snapshot.
 func (r *Registry) Snapshot() MetricsState { return r.Export() }
 
 // Import merges an exported state into the registry: counters add,
@@ -462,8 +428,8 @@ func (r *Registry) Import(st MetricsState) {
 	}
 }
 
-// WriteText dumps every metric in name order, one per line, shard
-// cells merged in. Never-set gauges are skipped, like everywhere else.
+// WriteText dumps every metric in name order, one per line. Never-set
+// gauges are skipped, like everywhere else.
 func (r *Registry) WriteText(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -485,4 +451,55 @@ func (r *Registry) WriteText(w io.Writer) error {
 	sort.Strings(lines)
 	_, err := io.WriteString(w, strings.Join(lines, "\n")+"\n")
 	return err
+}
+
+// Snapshot reads. All helpers require r.mu held (read lock suffices:
+// the maps are only mutated under the write lock, and the metrics
+// themselves are internally synchronized).
+
+// counterValuesLocked returns the name -> value view of the counters.
+func (r *Registry) counterValuesLocked() map[string]uint64 {
+	out := make(map[string]uint64, len(r.counters))
+	for name, c := range r.counters {
+		out[name] = c.Value()
+	}
+	return out
+}
+
+// gaugeStatesLocked returns the name -> GaugeState view of the gauges.
+func (r *Registry) gaugeStatesLocked() map[string]GaugeState {
+	out := make(map[string]GaugeState, len(r.gauges))
+	for name, g := range r.gauges {
+		g.mu.Lock()
+		out[name] = GaugeState{Value: g.v, Set: g.set}
+		g.mu.Unlock()
+	}
+	return out
+}
+
+// histStatesLocked returns the name -> HistogramState view of the
+// histograms.
+func (r *Registry) histStatesLocked() map[string]HistogramState {
+	out := make(map[string]HistogramState, len(r.histograms))
+	for name, h := range r.histograms {
+		h.mu.Lock()
+		out[name] = HistogramState{
+			Counts: append([]uint64(nil), h.counts[:]...),
+			Count:  h.count,
+			Sum:    h.sum,
+			Min:    h.min,
+			Max:    h.max,
+		}
+		h.mu.Unlock()
+	}
+	return out
+}
+
+// summaryFromState digests a raw histogram state exactly as
+// Histogram.Summary would for a histogram holding that state.
+func summaryFromState(st HistogramState) Summary {
+	var h Histogram
+	copy(h.counts[:], st.Counts)
+	h.count, h.sum, h.min, h.max = st.Count, st.Sum, st.Min, st.Max
+	return h.Summary()
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -179,5 +180,68 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 	}
 	if got := r.Gauge("g").Value(); got != 999 {
 		t.Fatalf("gauge = %v, want 999", got)
+	}
+}
+
+func TestUnsetGaugeOmitted(t *testing.T) {
+	r := NewRegistry()
+	_ = r.Gauge("tw.uncommitted_peak")
+	_ = r.Gauge("serve.jobs_in_flight")
+	if g := r.Gauges(); len(g) != 0 {
+		t.Fatalf("Gauges() reports unset gauges: %v", g)
+	}
+	for name, st := range r.Snapshot().Gauges {
+		if st.Set {
+			t.Fatalf("snapshot marks unset gauge %q as set", name)
+		}
+	}
+}
+
+// Producers cache their handles once and record through them while
+// the observability plane scrapes; neither side may lose a record.
+func TestConcurrentRecordingAndScrapes(t *testing.T) {
+	r := NewRegistry()
+	const threads, iters = 8, 2000
+	stop := make(chan struct{})
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() { // scraper racing the writers
+		defer scraper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = r.Snapshot()
+				runtime.Gosched()
+			}
+		}
+	}()
+	var writers sync.WaitGroup
+	for tid := 0; tid < threads; tid++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			c := r.Counter("tw.rollbacks")
+			g := r.Gauge("tw.uncommitted_peak")
+			h := r.Histogram("tw.rollback_depth")
+			for i := 0; i < iters; i++ {
+				c.Inc()
+				g.Max(float64(i))
+				h.Observe(float64(i % 64))
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	scraper.Wait()
+	if got := r.Counters()["tw.rollbacks"]; got != uint64(threads*iters) {
+		t.Fatalf("counter = %d, want %d", got, threads*iters)
+	}
+	if got := r.Snapshot().Histograms["tw.rollback_depth"].Count; got != uint64(threads*iters) {
+		t.Fatalf("histogram count = %d, want %d", got, threads*iters)
+	}
+	if got := r.Gauges()["tw.uncommitted_peak"]; got != iters-1 {
+		t.Fatalf("gauge = %g, want %d", got, iters-1)
 	}
 }

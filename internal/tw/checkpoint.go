@@ -27,8 +27,7 @@ import (
 // actually killed at the boundary, a resumed run is byte-identical to
 // an uninterrupted one by construction.
 
-// errNotCheckpointModel is shared by Capture, CaptureShard and
-// NewEngineFromState.
+// errNotCheckpointModel is shared by Capture and NewEngineFromState.
 var errNotCheckpointModel = errors.New("tw: model does not implement CheckpointModel")
 
 // CheckpointModel is a Model whose LP states can be serialized. All
@@ -112,14 +111,17 @@ func (e *Engine) Capture() (*EngineState, error) {
 		Seq:             e.seq,
 		GVT:             e.gvt,
 		PeakUncommitted: e.peakUncommitted,
+		LPs:             make([]LPRecord, len(e.lps)),
 		Pending:         make([][]EventRecord, len(e.peers)),
 		PeerStats:       make([]PeerStats, len(e.peers)),
 	}
-	lps, err := e.encodeLPs(cm, e.lps)
-	if err != nil {
-		return nil, err
+	for i, lp := range e.lps {
+		data, err := cm.EncodeState(lp.state)
+		if err != nil {
+			return nil, fmt.Errorf("tw: encoding LP %d state: %w", lp.ID, err)
+		}
+		st.LPs[i] = LPRecord{State: data, Rng: lp.rand.Save(), LVT: lp.lvt}
 	}
-	st.LPs = lps
 	for i, p := range e.peers {
 		recs, err := e.drainQuiesced(p)
 		if err != nil {
@@ -129,20 +131,6 @@ func (e *Engine) Capture() (*EngineState, error) {
 		st.PeerStats[i] = p.Stats
 	}
 	return st, nil
-}
-
-// encodeLPs serializes a run of LPs; Capture uses it over all LPs,
-// CaptureShard over one shard's.
-func (e *Engine) encodeLPs(cm CheckpointModel, lps []*LP) ([]LPRecord, error) {
-	recs := make([]LPRecord, len(lps))
-	for i, lp := range lps {
-		data, err := cm.EncodeState(lp.state)
-		if err != nil {
-			return nil, fmt.Errorf("tw: encoding LP %d state: %w", lp.ID, err)
-		}
-		recs[i] = LPRecord{State: data, Rng: lp.rand.Save(), LVT: lp.lvt}
-	}
-	return recs, nil
 }
 
 // drainQuiesced converts and consumes a peer's quiesced slice,
@@ -179,52 +167,29 @@ func (e *Engine) drainQuiesced(p *Peer) ([]EventRecord, error) {
 // resulting anti-message traffic is drained to a fixpoint, deferred
 // lazy-cancellation sends are flushed, and each peer's pending set is
 // emptied (in pop order) into its quiesced scratch slice.
-// The three stages are factored into peer-range passes so a worker
-// engine can run each stage over just its shard under coordinator
-// control (see shard.go): looping the ranged passes over the full
-// range below is exactly the historical whole-engine quiesce.
 func (e *Engine) quiesce() {
+	cpu := nopCPU{}
 	// Roll back all speculation. Rollbacks unsend (anti-messages into
 	// other peers' input queues) and drains can trigger further
 	// rollbacks, so iterate to a fixpoint.
-	for e.quiescePassRange(0, len(e.peers)) {
-	}
-	e.quiesceDumpRange(0, len(e.peers))
-	// Under lazy cancellation rolled-back events still hold tentative
-	// sends awaiting re-adoption; they cannot survive a checkpoint, so
-	// annihilate them now. The antis only ever target events already in
-	// the quiesced slices (everything pending is there), so the flush
-	// stage's drains just mark targets cancelled.
-	for e.quiesceFlushRange(0, len(e.peers)) {
-	}
-	e.quiesceResetRange(0, len(e.peers))
-}
-
-// quiescePassRange runs one drain-and-rollback round over peers
-// [lo, hi), reporting whether anything made progress.
-func (e *Engine) quiescePassRange(lo, hi int) bool {
-	cpu := nopCPU{}
-	progress := false
-	for _, p := range e.peers[lo:hi] {
-		if len(p.inq) > 0 {
-			p.Drain(cpu)
-			progress = true
-		}
-		for _, kp := range p.kps {
-			if len(kp.processed) > 0 {
-				p.rollback(kp, kp.processed[0])
+	for progress := true; progress; {
+		progress = false
+		for _, p := range e.peers {
+			if len(p.inq) > 0 {
+				p.Drain(cpu)
 				progress = true
+			}
+			for _, kp := range p.kps {
+				if len(kp.processed) > 0 {
+					p.rollback(kp, kp.processed[0])
+					progress = true
+				}
 			}
 		}
 	}
-	return progress
-}
-
-// quiesceDumpRange empties the pending sets of peers [lo, hi) into
-// their quiesced slices. Pop order is (Ts, Seq) — the canonical order
-// the capture serializes.
-func (e *Engine) quiesceDumpRange(lo, hi int) {
-	for _, p := range e.peers[lo:hi] {
+	// Pop order is (Ts, Seq) — the canonical order the capture
+	// serializes.
+	for _, p := range e.peers {
 		p.quiesced = p.quiesced[:0]
 		for {
 			ev, ok := p.pending.Pop()
@@ -234,32 +199,27 @@ func (e *Engine) quiesceDumpRange(lo, hi int) {
 			p.quiesced = append(p.quiesced, ev)
 		}
 	}
-}
-
-// quiesceFlushRange runs one lazy-cancellation flush-and-drain round
-// over peers [lo, hi), reporting whether anything made progress.
-func (e *Engine) quiesceFlushRange(lo, hi int) bool {
-	cpu := nopCPU{}
-	progress := false
-	for _, p := range e.peers[lo:hi] {
-		for _, ev := range p.quiesced {
-			if ev.state != StateCancelled && len(ev.tentative) > 0 {
-				p.flushTentative(ev)
+	// Under lazy cancellation rolled-back events still hold tentative
+	// sends awaiting re-adoption; they cannot survive a checkpoint, so
+	// annihilate them now. The antis only ever target events already in
+	// the quiesced slices (everything pending is there), so the flush
+	// stage's drains just mark targets cancelled.
+	for progress := true; progress; {
+		progress = false
+		for _, p := range e.peers {
+			for _, ev := range p.quiesced {
+				if ev.state != StateCancelled && len(ev.tentative) > 0 {
+					p.flushTentative(ev)
+					progress = true
+				}
+			}
+			if len(p.inq) > 0 {
+				p.Drain(cpu)
 				progress = true
 			}
 		}
-		if len(p.inq) > 0 {
-			p.Drain(cpu)
-			progress = true
-		}
 	}
-	return progress
-}
-
-// quiesceResetRange clears the per-round send windows and cycle
-// accumulators of peers [lo, hi) after a completed quiesce.
-func (e *Engine) quiesceResetRange(lo, hi int) {
-	for _, p := range e.peers[lo:hi] {
+	for _, p := range e.peers {
 		p.minSent = math.Inf(1)
 		p.acc = 0
 	}
@@ -276,7 +236,7 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 	}
 	cm, ok := cfg.Model.(CheckpointModel)
 	if !ok {
-		return nil, errors.New("tw: model does not implement CheckpointModel")
+		return nil, errNotCheckpointModel
 	}
 	eng, err := newEngineShell(cfg)
 	if err != nil {
@@ -309,6 +269,12 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 				Ts: r.Ts, Seq: r.Seq, Src: r.Src, Dst: r.Dst,
 				Kind: r.Kind, A: r.A, B: r.B,
 				state: StatePending,
+			}
+			if r.Src < 0 || r.Src >= len(eng.lps) || r.Dst < 0 || r.Dst >= len(eng.lps) {
+				return nil, fmt.Errorf("tw: capture holds event %v between unknown LPs (%d LPs)", ev, len(eng.lps))
+			}
+			if owner := eng.lps[r.Dst].Owner; owner != i {
+				return nil, fmt.Errorf("tw: capture holds event %v on peer %d, but LP %d belongs to peer %d", ev, i, r.Dst, owner)
 			}
 			if r.Ts < st.GVT {
 				return nil, fmt.Errorf("tw: capture holds pending event %v below GVT %.6f", ev, st.GVT)

@@ -198,19 +198,6 @@ type Engine struct {
 	crossSends uint64
 	heldSends  []heldSend
 
-	// Distributed sharding (see shard.go). remote, when non-nil, makes
-	// every public peer operation forward to the worker hosting the
-	// real shard (coordinator role). shardLo/shardHi bound the locally
-	// hosted peers — [0, NumThreads) unless Shardify narrowed them.
-	// outbox collects cross-shard sends awaiting relay, and remoteIdx
-	// maps twin events materialized from the wire by sequence number so
-	// relayed anti-messages can find their targets.
-	remote    RemoteTransport
-	shardLo   int
-	shardHi   int
-	outbox    []WireEvent
-	remoteIdx map[uint64]*Event
-
 	tel engineTelemetry
 }
 
@@ -229,12 +216,23 @@ type heldSend struct {
 	due uint64
 }
 
-// engineTelemetry caches the engine-global metric handles; handles
-// from a nil registry record but report nothing. Per-thread metrics
-// (rollbacks, commits, anti-messages, pool traffic) live on each
-// Peer's shard handles instead — see peerTelemetry in peer.go.
+// engineTelemetry caches the engine's metric handles so hot paths skip
+// registry lookups; handles from a nil registry record but report
+// nothing.
 type engineTelemetry struct {
 	uncommittedPeak *telemetry.Gauge
+	rollbackDepth   *telemetry.Histogram
+	commitBatch     *telemetry.Histogram
+	antiSent        *telemetry.Counter
+	rollbacks       *telemetry.Counter
+	committed       *telemetry.Counter
+
+	poolEventHit      *telemetry.Counter
+	poolEventMiss     *telemetry.Counter
+	poolEventRecycled *telemetry.Counter
+	poolStateHit      *telemetry.Counter
+	poolStateMiss     *telemetry.Counter
+	poolStateRecycled *telemetry.Counter
 }
 
 // NewEngine builds LPs and peers, asks the model to initialize every
@@ -261,15 +259,27 @@ func NewEngine(cfg Config) (*Engine, error) {
 // InitLP on top, NewEngineFromState restores captured state instead.
 func newEngineShell(cfg Config) (*Engine, error) {
 	eng := &Engine{cfg: cfg}
+	reg := cfg.Telemetry
 	eng.tel = engineTelemetry{
-		uncommittedPeak: cfg.Telemetry.Gauge(MetricUncommittedPeak),
+		uncommittedPeak: reg.Gauge(MetricUncommittedPeak),
+		rollbackDepth:   reg.Histogram(MetricRollbackDepth),
+		commitBatch:     reg.Histogram(MetricCommitBatch),
+		antiSent:        reg.Counter(MetricAntiMessages),
+		rollbacks:       reg.Counter(MetricRollbacks),
+		committed:       reg.Counter(MetricCommittedEvents),
+
+		poolEventHit:      reg.Counter(MetricPoolEventHit),
+		poolEventMiss:     reg.Counter(MetricPoolEventMiss),
+		poolEventRecycled: reg.Counter(MetricPoolEventRecycled),
+		poolStateHit:      reg.Counter(MetricPoolStateHit),
+		poolStateMiss:     reg.Counter(MetricPoolStateMiss),
+		poolStateRecycled: reg.Counter(MetricPoolStateRecycled),
 	}
 	perThread := cfg.Model.LPsPerThread()
 	if perThread <= 0 {
 		return nil, errors.New("tw: model reports non-positive LPsPerThread")
 	}
 	nLPs := perThread * cfg.NumThreads
-	eng.shardLo, eng.shardHi = 0, cfg.NumThreads
 	eng.peers = make([]*Peer, cfg.NumThreads)
 	for i := range eng.peers {
 		eng.peers[i] = newPeer(i, eng)
@@ -463,16 +473,6 @@ func (e *Engine) send(from *Peer, cause *Event, dst int, ts VT, kind uint8, a, b
 		}
 		ev.state = StatePending
 		from.pending.Push(ev)
-	} else if dstPeer.foreign {
-		// Cross-shard send: the event travels by wire. The local copy
-		// stays on the cause's sent list as a shadow — rollback and
-		// lazy cancellation target it exactly as in-process — while the
-		// destination shard materializes and owns the live twin (see
-		// shard.go).
-		e.outbox = append(e.outbox, WireEvent{
-			Ts: ev.Ts, Seq: ev.Seq, Src: ev.Src, Dst: ev.Dst,
-			Kind: ev.Kind, A: ev.A, B: ev.B,
-		})
 	} else {
 		e.deliver(dstPeer, ev)
 	}
@@ -551,7 +551,7 @@ func (e *Engine) CheckInvariants() error {
 					return fmt.Errorf("kp %d/%d history holds %v (state %s)", kp.Owner, kp.ID, ev, ev.state)
 				}
 				if e.lps[ev.Dst].kp != kp {
-					return fmt.Errorf("kp %d/%d history holds foreign event %v", kp.Owner, kp.ID, ev)
+					return fmt.Errorf("kp %d/%d history holds event %v of another KP", kp.Owner, kp.ID, ev)
 				}
 				// Sent/tentative entries of events that can still roll
 				// back (at or above GVT) must be live: a rollback would

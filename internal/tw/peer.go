@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"ggpdes/internal/pq"
-	"ggpdes/internal/telemetry"
 	"ggpdes/internal/trace"
 )
 
@@ -50,9 +49,11 @@ type Peer struct {
 	pending pq.Queue[*Event]
 
 	// freeEvents is the peer's event freelist (see pool.go); pool
-	// accumulates its traffic counters between telemetry flushes.
-	freeEvents []*Event
-	pool       poolStats
+	// counts its traffic since the engine was built, poolFlushed the
+	// part already published to telemetry.
+	freeEvents  []*Event
+	pool        poolStats
+	poolFlushed poolStats
 
 	// evCtx and rbCtx are the reusable model-callback contexts for
 	// forward execution and reverse computation. They are distinct
@@ -72,68 +73,18 @@ type Peer struct {
 	// is quiesced for a checkpoint capture (see checkpoint.go).
 	quiesced []*Event
 
-	// tel holds this thread's private shard of the telemetry registry;
-	// recording here never shares a cache line with another thread.
-	tel peerTelemetry
-
-	// foreign marks a peer hosted by another worker process in a
-	// distributed run: it holds no event state and sends routed to it
-	// are collected as wire events instead (see shard.go).
-	foreign bool
-
 	// Stats is exported for the harness; do not mutate externally.
 	Stats PeerStats
 }
 
-// peerTelemetry caches per-thread shard handles so hot paths skip
-// registry lookups; handles from a nil registry record but report
-// nothing. Reads merge all peers' shards back into the per-run totals
-// (telemetry.Registry.Snapshot).
-type peerTelemetry struct {
-	rollbackDepth *telemetry.Histogram
-	commitBatch   *telemetry.Histogram
-	antiSent      *telemetry.Counter
-	rollbacks     *telemetry.Counter
-	committed     *telemetry.Counter
-
-	poolEventHit      *telemetry.Counter
-	poolEventMiss     *telemetry.Counter
-	poolEventRecycled *telemetry.Counter
-	poolStateHit      *telemetry.Counter
-	poolStateMiss     *telemetry.Counter
-	poolStateRecycled *telemetry.Counter
-}
-
-// newPendingQueue builds a pending set of the engine's configured
-// kind; dropEvents (shard.go) also uses it to replace a foreign peer's
-// queue with a fresh empty one.
-func newPendingQueue(eng *Engine) pq.Queue[*Event] {
+func newPeer(id int, eng *Engine) *Peer {
 	less := func(a, b *Event) bool { return a.before(b) }
 	prio := func(e *Event) float64 { return e.Ts }
-	return pq.New[*Event](eng.cfg.QueueKind, less, prio)
-}
-
-func newPeer(id int, eng *Engine) *Peer {
-	sh := eng.cfg.Telemetry.Shard(id)
 	return &Peer{
 		ID:      id,
 		eng:     eng,
-		pending: newPendingQueue(eng),
+		pending: pq.New[*Event](eng.cfg.QueueKind, less, prio),
 		minSent: math.Inf(1),
-		tel: peerTelemetry{
-			rollbackDepth: sh.Histogram(MetricRollbackDepth),
-			commitBatch:   sh.Histogram(MetricCommitBatch),
-			antiSent:      sh.Counter(MetricAntiMessages),
-			rollbacks:     sh.Counter(MetricRollbacks),
-			committed:     sh.Counter(MetricCommittedEvents),
-
-			poolEventHit:      sh.Counter(MetricPoolEventHit),
-			poolEventMiss:     sh.Counter(MetricPoolEventMiss),
-			poolEventRecycled: sh.Counter(MetricPoolEventRecycled),
-			poolStateHit:      sh.Counter(MetricPoolStateHit),
-			poolStateMiss:     sh.Counter(MetricPoolStateMiss),
-			poolStateRecycled: sh.Counter(MetricPoolStateRecycled),
-		},
 	}
 }
 
@@ -147,18 +98,12 @@ func (p *Peer) KPs() []*KP { return p.kps }
 // threads read it for activity detection (demand-driven scheduling) —
 // safe because machine execution is serialized.
 func (p *Peer) InputSize() int {
-	if r := p.eng.remote; r != nil {
-		return r.InputSize(p.ID)
-	}
 	return len(p.inq)
 }
 
 // HasWork reports whether the peer has any unconsumed input or live
 // pending events before the simulation end time, executable or not.
 func (p *Peer) HasWork() bool {
-	if r := p.eng.remote; r != nil {
-		return r.HasWork(p.ID)
-	}
 	if len(p.inq) > 0 {
 		return true
 	}
@@ -172,9 +117,6 @@ func (p *Peer) HasWork() bool {
 // the pseudo-controller's activation scan wakes it once GVT advances
 // far enough.
 func (p *Peer) HasExecutableWork() bool {
-	if r := p.eng.remote; r != nil {
-		return r.HasExecutableWork(p.ID)
-	}
 	if len(p.inq) > 0 {
 		return true
 	}
@@ -209,9 +151,6 @@ func (p *Peer) peekLive() *Event {
 // anti-messages and rolling back stragglers. It returns the number of
 // entries consumed and charges the corresponding CPU cycles.
 func (p *Peer) Drain(cpu CPU) int {
-	if r := p.eng.remote; r != nil {
-		return r.Drain(p.ID, cpu)
-	}
 	costs := &p.eng.cfg.Costs
 	cycles := costs.DrainBaseCycles
 	// Handling an anti-message can roll an LP back, whose unsends may
@@ -325,8 +264,8 @@ func (p *Peer) rollback(kp *KP, upto *Event) int {
 	}
 	if count > 0 {
 		p.Stats.Rollbacks++
-		p.tel.rollbacks.Inc()
-		p.tel.rollbackDepth.Observe(float64(count))
+		p.eng.tel.rollbacks.Inc()
+		p.eng.tel.rollbackDepth.Observe(float64(count))
 		if t := p.eng.cfg.Trace; t != nil {
 			t.Add(trace.KindRollback, p.ID, upto.Ts, int64(count))
 		}
@@ -373,22 +312,10 @@ func (p *Peer) sendAnti(s *Event, src int) {
 	anti.Anti = true
 	anti.Target = s
 	dst := eng.peers[eng.lps[s.Dst].Owner]
-	if dst.foreign {
-		// Cross-shard annihilation: the anti travels by wire, carrying
-		// the target's sequence number for the destination shard to
-		// resolve against its twin. The local anti object was allocated
-		// only for its sequence number and pool accounting; nothing
-		// references it again (see shard.go).
-		eng.outbox = append(eng.outbox, WireEvent{
-			Ts: anti.Ts, Seq: anti.Seq, Src: anti.Src, Dst: anti.Dst,
-			Anti: true, TargetSeq: s.Seq,
-		})
-	} else {
-		dst.inq = append(dst.inq, anti)
-	}
+	dst.inq = append(dst.inq, anti)
 	p.acc += eng.cfg.Costs.SendCycles
 	p.Stats.AntiSent++
-	p.tel.antiSent.Inc()
+	eng.tel.antiSent.Inc()
 	if t := eng.cfg.Trace; t != nil {
 		t.Add(trace.KindAntiMessage, p.ID, s.Ts, int64(s.Dst))
 	}
@@ -409,9 +336,6 @@ func (p *Peer) unsend(ev *Event) {
 // pending events and returns how many ran. With a configured optimism
 // window, events beyond GVT + window stay pending until GVT advances.
 func (p *Peer) ProcessBatch(cpu CPU) int {
-	if r := p.eng.remote; r != nil {
-		return r.ProcessBatch(p.ID, cpu)
-	}
 	eng := p.eng
 	costs := &eng.cfg.Costs
 	horizon := eng.horizon()
@@ -462,9 +386,6 @@ func (p *Peer) ProcessBatch(cpu CPU) int {
 // peer: live pending events plus everything still in the input queue.
 // +Inf when it has none.
 func (p *Peer) LocalMin(cpu CPU) VT {
-	if r := p.eng.remote; r != nil {
-		return r.LocalMin(p.ID, cpu)
-	}
 	costs := &p.eng.cfg.Costs
 	cycles := costs.LocalMinCycles
 	min := math.Inf(1)
@@ -490,9 +411,6 @@ func (p *Peer) LocalMin(cpu CPU) VT {
 // (de-scheduled or freshly reactivated) on their behalf and pays for
 // the walk itself. +Inf when the peer holds nothing live.
 func (p *Peer) RemoteMin() VT {
-	if r := p.eng.remote; r != nil {
-		return r.RemoteMin(p.ID)
-	}
 	min := math.Inf(1)
 	if ev := p.peekLive(); ev != nil {
 		min = ev.Ts
@@ -518,9 +436,6 @@ func (p *Peer) noteSent(ts VT) {
 // TakeMinSent returns the smallest timestamp sent since the previous
 // call and resets the window; used by GVT cuts.
 func (p *Peer) TakeMinSent() VT {
-	if r := p.eng.remote; r != nil {
-		return r.TakeMinSent(p.ID)
-	}
 	v := p.minSent
 	p.minSent = math.Inf(1)
 	return v
@@ -532,9 +447,6 @@ func (p *Peer) TakeMinSent() VT {
 // effect): their sends after a receiver's cut would otherwise be
 // invisible to the round.
 func (p *Peer) PeekMinSent() VT {
-	if r := p.eng.remote; r != nil {
-		return r.PeekMinSent(p.ID)
-	}
 	return p.minSent
 }
 
@@ -544,9 +456,6 @@ func (p *Peer) PeekMinSent() VT {
 // the pools are fed, so a few GVT rounds after startup the send path
 // stops allocating.
 func (p *Peer) FossilCollect(cpu CPU, gvt VT) int {
-	if r := p.eng.remote; r != nil {
-		return r.FossilCollect(p.ID, cpu, gvt)
-	}
 	costs := &p.eng.cfg.Costs
 	cycles := costs.FossilBaseCycles
 	total := 0
@@ -581,8 +490,8 @@ func (p *Peer) FossilCollect(cpu CPU, gvt VT) int {
 	p.flushPoolStats()
 	p.Stats.Committed += uint64(total)
 	if total > 0 {
-		p.tel.committed.Add(uint64(total))
-		p.tel.commitBatch.Observe(float64(total))
+		p.eng.tel.committed.Add(uint64(total))
+		p.eng.tel.commitBatch.Observe(float64(total))
 		if t := p.eng.cfg.Trace; t != nil {
 			t.Add(trace.KindCommit, p.ID, gvt, int64(total))
 		}

@@ -54,8 +54,9 @@ const (
 )
 
 // poolStats accumulates per-peer pool traffic with plain increments;
-// the peer flushes them to telemetry counters at fossil collection so
-// the per-event path performs no atomic operations.
+// the peer publishes the growth since its last flush to the telemetry
+// counters at fossil collection, so the per-event path performs no
+// atomic operations.
 type poolStats struct {
 	eventHit, eventMiss, eventRecycled uint64
 	stateHit, stateMiss, stateRecycled uint64
@@ -87,12 +88,6 @@ func (p *Peer) allocEvent() *Event {
 // field and poisoning the ordering key. With pooling disabled it does
 // nothing, preserving the historical allocate-and-drop behaviour.
 func (p *Peer) freeEvent(ev *Event) {
-	// A twin materialized from the wire (shard.go) leaves the
-	// anti-message resolution table when its lifecycle ends, whether or
-	// not its memory is recycled. Anti-messages are never registered.
-	if m := p.eng.remoteIdx; m != nil && !ev.Anti {
-		delete(m, ev.Seq)
-	}
 	if p.eng.cfg.DisablePooling {
 		return
 	}
@@ -153,19 +148,18 @@ func (p *Peer) releaseSnapshot(lp *LP, st State) {
 // telemetry counters; called at fossil collection (periodic, outside
 // the per-event path) and by Engine.FlushPoolStats at run teardown.
 func (p *Peer) flushPoolStats() {
-	s := &p.pool
-	if s.eventHit == 0 && s.eventMiss == 0 && s.eventRecycled == 0 &&
-		s.stateHit == 0 && s.stateMiss == 0 && s.stateRecycled == 0 {
+	s, f := &p.pool, &p.poolFlushed
+	if *s == *f {
 		return
 	}
-	t := &p.tel
-	t.poolEventHit.Add(s.eventHit)
-	t.poolEventMiss.Add(s.eventMiss)
-	t.poolEventRecycled.Add(s.eventRecycled)
-	t.poolStateHit.Add(s.stateHit)
-	t.poolStateMiss.Add(s.stateMiss)
-	t.poolStateRecycled.Add(s.stateRecycled)
-	*s = poolStats{}
+	t := &p.eng.tel
+	t.poolEventHit.Add(s.eventHit - f.eventHit)
+	t.poolEventMiss.Add(s.eventMiss - f.eventMiss)
+	t.poolEventRecycled.Add(s.eventRecycled - f.eventRecycled)
+	t.poolStateHit.Add(s.stateHit - f.stateHit)
+	t.poolStateMiss.Add(s.stateMiss - f.stateMiss)
+	t.poolStateRecycled.Add(s.stateRecycled - f.stateRecycled)
+	*f = *s
 }
 
 // FlushPoolStats publishes any pool traffic still buffered in the

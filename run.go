@@ -277,10 +277,10 @@ func (rs *runState) buildSegment() (*segment, error) {
 	if rs.engine != nil {
 		eng, err = tw.NewEngineFromState(twCfg, rs.engine)
 		rs.engine = nil
-	} else {
-		eng, err = tw.NewEngine(twCfg)
-	}
-	if err != nil {
+		if err != nil {
+			return nil, fmt.Errorf("%w: restoring engine: %v", ErrCheckpointCorrupt, err)
+		}
+	} else if eng, err = tw.NewEngine(twCfg); err != nil {
 		return nil, err
 	}
 	gvtFreq := cfg.GVTFrequency
@@ -420,15 +420,6 @@ func (rs *runState) checkpointAndReload(seg *segment) error {
 		return fmt.Errorf("ggpdes: checkpoint capture: %w", err)
 	}
 	seg.eng.FlushPoolStats()
-	return rs.persistAndReload(seg, est)
-}
-
-// persistAndReload serializes the run around an already-captured engine
-// state and reloads the continuation from the encoded bytes. Split from
-// checkpointAndReload so the distributed runner, which assembles the
-// engine state from per-worker shard captures, shares the exact same
-// snapshot round-trip.
-func (rs *runState) persistAndReload(seg *segment, est *tw.EngineState) error {
 	rs.accumulate(seg)
 	rs.segments++
 	key, err := rs.cfg.CacheKey()

@@ -16,11 +16,8 @@
 # twice in the current tree -- GGPDES_NOPOOL=1 (event/snapshot
 # recycling disabled, "before") and pooled (default, "after") -- and
 # fails unless pooling still cuts allocs/op by at least MIN_ALLOC_RATIO
-# without costing more than MAX_NS_RATIO wall clock. It then runs the
-# telemetry registry A/B (sharded per-thread cells vs everyone on the
-# base cells) and, on machines with >= 4 CPUs, fails if sharding has
-# stopped paying for itself under contention (ns/op ratio beyond
-# MAX_SHARD_RATIO). `make ci` runs this as the regression tripwire.
+# without costing more than MAX_NS_RATIO wall clock. `make ci` runs
+# this as the regression tripwire.
 #
 # Tunables (environment):
 #   GO              go binary                  (default: go)
@@ -29,7 +26,6 @@
 #   BENCHTIME       -benchtime per benchmark  (default: 3x)
 #   MIN_ALLOC_RATIO smoke: required before/after allocs/op ratio (default: 2.0)
 #   MAX_NS_RATIO    smoke: allowed after/before ns/op ratio      (default: 1.25)
-#   MAX_SHARD_RATIO smoke: allowed sharded/shared ns/op ratio    (default: 1.10)
 set -eu
 
 GO=${GO:-go}
@@ -38,7 +34,6 @@ SMOKE_REGEX=${SMOKE_REGEX:-Fig2BalancedPHOLD/GG-PDES-Async}
 BENCHTIME=${BENCHTIME:-3x}
 MIN_ALLOC_RATIO=${MIN_ALLOC_RATIO:-2.0}
 MAX_NS_RATIO=${MAX_NS_RATIO:-1.25}
-MAX_SHARD_RATIO=${MAX_SHARD_RATIO:-1.10}
 
 usage() {
 	echo "usage: scripts/bench_diff.sh [-smoke] [base-ref]" >&2
@@ -111,42 +106,6 @@ smoke() {
 			if (ok) print "bench_diff -smoke: OK (allocs/op drop >= " minalloc "x, ns/op within " maxns "x)"
 			exit ok ? 0 : 1
 		}' "$tmp/before" "$tmp/after"
-
-	telemetry_smoke "$tmp"
-}
-
-# Telemetry registry A/B: BenchmarkRegistryShared routes every thread
-# to the base cells (the pre-sharding layout), BenchmarkRegistrySharded
-# gives each its own padded shard. The contention win only manifests
-# when the benchmark goroutines actually run in parallel, so the
-# assertion is skipped below 4 CPUs; the benchmarks still run for
-# crash/regression coverage.
-telemetry_smoke() {
-	tmp=$1
-	ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-	echo "bench_diff -smoke: telemetry registry sharded vs shared ($ncpu CPUs)..." >&2
-	run_bench ./internal/telemetry 'BenchmarkRegistry(Sharded|Shared)' "" >"$tmp/shard"
-
-	awk '{ split($1, p, "|"); printf "%-55s %-12s %14s\n", p[1], p[2], $2 }' "$tmp/shard"
-
-	if [ "$ncpu" -lt 4 ]; then
-		echo "bench_diff -smoke: telemetry OK (ran both; < 4 CPUs, contention assertion skipped)"
-		return 0
-	fi
-	awk -v maxratio="$MAX_SHARD_RATIO" '
-		$1 ~ /RegistrySharded.*\|ns\/op$/ { sharded = $2 }
-		$1 ~ /RegistryShared.*\|ns\/op$/ { shared = $2 }
-		END {
-			if (sharded == "" || shared == "") {
-				print "FAIL telemetry: registry benchmarks missing from output"
-				exit 1
-			}
-			if (sharded > shared * maxratio) {
-				printf "FAIL telemetry: sharded %s ns/op vs shared %s -- exceeds %sx budget\n", sharded, shared, maxratio
-				exit 1
-			}
-			printf "bench_diff -smoke: telemetry OK (sharded %s ns/op vs shared %s, within %sx)\n", sharded, shared, maxratio
-		}' "$tmp/shard"
 }
 
 full() {

@@ -6,11 +6,9 @@
 # a JSON document recording, per benchmark: ns/op, allocs/op, B/op,
 # committed events/op, the simulated event rate, and the *wall-clock*
 # committed-event rate (committed/op scaled by ns/op). A "headline"
-# block states the pool-off/pool-on allocs/op and ns/op ratios, and a
-# "telemetry_ab" block the sharded-vs-shared registry ns/op ratio (only
-# meaningful at >= 4 CPUs; the CPU count is recorded alongside) -- the
-# numbers this PR is accountable for. `make bench-json` runs this; the
-# output is committed so later PRs can diff against it.
+# block states the pool-off/pool-on allocs/op and ns/op ratios.
+# `make bench-json` runs this; the output is committed so later
+# changes can diff against it.
 #
 # Tunables (environment):
 #   GO           go binary                      (default: go)
@@ -61,14 +59,10 @@ echo "bench_json: pooled headline (-bench '$HEADLINE')..." >&2
 run_bench "$HEADLINE" "" >"$tmp/pooled_head.raw"
 echo "bench_json: pool-off headline (-bench '$HEADLINE')..." >&2
 run_bench "$HEADLINE" 1 >"$tmp/nopool.raw"
-echo "bench_json: telemetry registry sharded vs shared..." >&2
-"$GO" test -run '^$' -bench 'BenchmarkRegistry(Sharded|Shared)' \
-	-benchtime "$BENCHTIME" -benchmem ./internal/telemetry >"$tmp/telemetry.raw"
 
 to_json <"$tmp/pooled.raw" >"$tmp/pooled.json"
 to_json <"$tmp/pooled_head.raw" >"$tmp/pooled_head.json"
 to_json <"$tmp/nopool.raw" >"$tmp/nopool.json"
-to_json <"$tmp/telemetry.raw" >"$tmp/telemetry.json"
 
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 gover=$("$GO" env GOVERSION 2>/dev/null || echo unknown)
@@ -99,26 +93,6 @@ headline=$(awk '
 			n, offal, al[n], (al[n] > 0) ? offal / al[n] : 0, offns, ns[n], (offns > 0) ? ns[n] / offns : 0
 	}' "$tmp/pooled_head.json" "$tmp/nopool.json")
 
-# Telemetry A/B ratio: registry writes through per-thread shard cells
-# vs everyone on the base cells. Below 4 CPUs the goroutines cannot
-# actually contend, so the ratio is noise; cpus is recorded so readers
-# can judge.
-ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-telemetry_ab=$(awk -v ncpu="$ncpu" '
-	function metric(line, unit,   re, s) {
-		re = "\"" unit "\": [0-9.e+-]+"
-		if (match(line, re) == 0) return 0
-		s = substr(line, RSTART, RLENGTH)
-		sub(/^[^:]*: /, "", s)
-		return s + 0
-	}
-	/RegistrySharded/ { sharded = metric($0, "ns_op") }
-	/RegistryShared[^d]/ { shared = metric($0, "ns_op") }
-	END {
-		printf "{\"cpus\": %d, \"ns_op_sharded\": %s, \"ns_op_shared\": %s, \"ns_ratio_sharded_over_shared\": %.3f}", \
-			ncpu, sharded + 0, shared + 0, (shared > 0) ? sharded / shared : 0
-	}' "$tmp/telemetry.json")
-
 {
 	echo "{"
 	echo "  \"pr\": $PR,"
@@ -127,7 +101,6 @@ telemetry_ab=$(awk -v ncpu="$ncpu" '
 	echo "  \"go\": \"$gover\","
 	echo "  \"benchtime\": \"$BENCHTIME\","
 	echo "  \"headline\": $headline,"
-	echo "  \"telemetry_ab\": $telemetry_ab,"
 	echo "  \"pooled\": ["
 	join_lines "$tmp/pooled.json"
 	echo "  ],"

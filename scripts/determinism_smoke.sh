@@ -8,14 +8,7 @@
 # determinism pass protects at the source level, asserted at the
 # binary's mouth: everything ggsim prints derives from simulated
 # machine time, so any divergence means ambient nondeterminism leaked
-# into the core.
-#
-# Then the same configuration runs sharded across 2 worker processes
-# (-workers 2): the report and the per-GVT-round series CSV must still
-# be byte-identical to the in-process run — the distributed control/
-# data split forwards operations without reordering them, so process
-# boundaries must not move the trajectory. Only the "distributed" info
-# line, which names the sharding itself, is excluded from the diff.
+# into the core. The per-GVT-round series CSVs must match too.
 set -eu
 
 GO=${GO:-go}
@@ -44,22 +37,9 @@ if ! diff -u "$dir/run1.txt" "$dir/run2.txt" >"$dir/diff.txt"; then
     exit 1
 fi
 
-run dist -workers 2 >"$dir/run_dist_raw.txt" 2>&1
-grep -q '^distributed' "$dir/run_dist_raw.txt" || {
-    echo "determinism-smoke: -workers 2 run did not report its sharding:" >&2
-    cat "$dir/run_dist_raw.txt" >&2
-    exit 1
-}
-grep -v '^distributed' "$dir/run_dist_raw.txt" >"$dir/run_dist.txt"
-
-if ! diff -u "$dir/run1.txt" "$dir/run_dist.txt" >"$dir/diff.txt"; then
-    echo "determinism-smoke: 2-worker run diverged from in-process:" >&2
+if ! diff -u "$dir/a/series.csv" "$dir/b/series.csv" >"$dir/diff.txt"; then
+    echo "determinism-smoke: identical seeded runs wrote diverging series CSVs:" >&2
     cat "$dir/diff.txt" >&2
     exit 1
 fi
-if ! diff -u "$dir/a/series.csv" "$dir/dist/series.csv" >"$dir/diff.txt"; then
-    echo "determinism-smoke: 2-worker series CSV diverged from in-process:" >&2
-    cat "$dir/diff.txt" >&2
-    exit 1
-fi
-echo "determinism-smoke: seeded runs byte-identical in-process and across 2 workers ($(wc -l <"$dir/run1.txt") report lines, $(wc -l <"$dir/a/series.csv") series rows)"
+echo "determinism-smoke: seeded runs byte-identical ($(wc -l <"$dir/run1.txt") report lines, $(wc -l <"$dir/a/series.csv") series rows)"

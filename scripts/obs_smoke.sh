@@ -75,7 +75,6 @@ while read -r kind name; do
     *) continue ;;
     esac
     case "$name" in
-    dist.*) continue ;;    # only distributed runs register these — asserted absent below
     cluster.*) continue ;; # only clustered replicas register these — asserted absent below
     esac
     expo="ggpdes_$(echo "$name" | tr . _)"
@@ -85,15 +84,8 @@ done <internal/telemetry/inventory.txt
 
 grep -q '_bucket{le="+Inf"}' "$dir/metrics" || fail "no histogram buckets exposed"
 
-# No distributed job ran, so the dist.* plane must be absent — in
-# particular dist.workers.connected: unset gauges stay off the page
-# entirely (the set-flag skipping discipline).
-if grep -q 'ggpdes_dist_' "$dir/metrics"; then
-    fail "dist.* metrics exposed without a distributed run"
-fi
-
-# Same discipline for the fleet plane: cluster.* counters are only
-# registered by cluster.New, and this replica ran with no peers.
+# cluster.* counters are only registered by cluster.New, and this
+# replica ran with no peers, so the fleet plane must be absent.
 if grep -q 'ggpdes_cluster_' "$dir/metrics"; then
     fail "cluster.* metrics exposed without clustering"
 fi

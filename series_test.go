@@ -102,7 +102,7 @@ func TestSeriesCSVThroughConfig(t *testing.T) {
 }
 
 // TestSharedRegistryConcurrentRuns hammers one external registry with
-// parallel jobs recording through per-thread shard handles while other
+// parallel jobs recording through their cached handles while other
 // goroutines scrape snapshots and the OpenMetrics exposition — the
 // serving layer's steady state, checked standalone under -race.
 func TestSharedRegistryConcurrentRuns(t *testing.T) {
